@@ -23,8 +23,10 @@
 // With -equiv each program is additionally trace-compiled and the compiled
 // fastpath is symbolically proven equivalent to the microcode (package
 // equiv); a program the compiler refuses (key-request handshakes) is
-// reported as skipped, not failed. An unproven trace is a finding and
-// prints both sides' expressions plus a concrete diverging input witness.
+// reported as skipped, not failed. Each verdict line ends in [tiled] or
+// [per-tick], the order the compiled executor runs its steady period in.
+// An unproven trace is a finding and prints both sides' expressions plus a
+// concrete diverging input witness.
 //
 // With -ct each program additionally runs package sca's static side-channel
 // analysis: key/plaintext taint reaching table indices (the T-table class,
@@ -51,6 +53,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"cobra/internal/asm"
 	"cobra/internal/bench"
@@ -141,10 +144,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintln(stdout)
 	}
-	// reportEquiv prints one translation-validation verdict; an unproven
-	// trace dirties the run.
-	reportEquiv := func(name string, res *equiv.Result) {
-		fmt.Fprintf(stdout, "%s\n", res)
+	// reportEquiv prints one translation-validation verdict, tagged with
+	// the executor's steady-state order so a per-tick fallback is visible;
+	// an unproven trace dirties the run.
+	reportEquiv := func(name string, res *equiv.Result, ex *fastpath.Exec) {
+		order := "per-tick"
+		if ex.Tiled() {
+			order = "tiled"
+		}
+		verdict, detail, multi := strings.Cut(res.String(), "\n")
+		fmt.Fprintf(stdout, "%s [%s]\n", verdict, order)
+		if multi {
+			fmt.Fprintln(stdout, detail)
+		}
 		jr := vet.JSONReport{Name: name, Check: "equiv", Clean: res.Proven, Findings: []vet.JSONFinding{}}
 		if !res.Proven {
 			dirty = true
@@ -192,10 +204,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if *equivFlag {
 				// A compile refusal is a documented skip, not a failure:
 				// key-request handshake programs have no trace to validate.
-				if res, err := p.Validate(); err != nil {
+				if ex, err := p.Compile(); err != nil {
 					fmt.Fprintf(stdout, "%-24s equiv skipped: %v\n", p.Name, err)
 				} else {
-					reportEquiv(p.Name, res)
+					reportEquiv(p.Name, p.ValidateExec(ex), ex)
 				}
 			}
 			if *ctFlag {
@@ -243,7 +255,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			} else {
 				reportEquiv(path, equiv.Validate(words, equiv.Config{
 					Name: path, Geometry: geo, Window: *window,
-				}, ex.Trace()))
+				}, ex.Trace()), ex)
 			}
 		}
 		if *ctFlag && ins != nil {

@@ -15,13 +15,15 @@ import (
 // interpreter and for the trace-compiled executor, over the same workload.
 // Verified asserts the executors agreed — identical ciphertext and
 // identical simulated counters — so a reported speedup can never come
-// from a divergent (wrong) fast engine.
+// from a divergent (wrong) fast engine. Tiled reports whether the
+// executor ran its steady period tile-major, so a per-tick fallback shows.
 type FastpathMeasurement struct {
 	Config
 	Blocks         int     `json:"blocks"`
 	InterpNsPerBlk float64 `json:"interp_ns_per_block"`
 	FastNsPerBlk   float64 `json:"fastpath_ns_per_block"`
 	Speedup        float64 `json:"speedup"`
+	Tiled          bool    `json:"tiled"`
 	Verified       bool    `json:"verified"`
 }
 
@@ -76,6 +78,7 @@ func MeasureFastpath(c Config, key []byte, blocks int) (FastpathMeasurement, err
 		Blocks:         blocks,
 		InterpNsPerBlk: interpNs / float64(blocks),
 		FastNsPerBlk:   fastNs / float64(blocks),
+		Tiled:          ex.Tiled(),
 		Verified:       verified,
 	}
 	if fastNs > 0 {
@@ -103,10 +106,10 @@ func FastpathTableText(fms []FastpathMeasurement) string {
 	var b bytes.Buffer
 	w := tabwriter.NewWriter(&b, 2, 0, 2, ' ', 0)
 	fmt.Fprintln(w, "Fastpath: trace-compiled executor vs cycle-accurate interpreter (wall clock)")
-	fmt.Fprintln(w, "Alg\tRnds\tBlocks\tInterp ns/blk\tFastpath ns/blk\tSpeedup\tVerified")
+	fmt.Fprintln(w, "Alg\tRnds\tBlocks\tInterp ns/blk\tFastpath ns/blk\tSpeedup\tTiled\tVerified")
 	for _, m := range fms {
-		fmt.Fprintf(w, "%s\t%d\t%d\t%.0f\t%.0f\t%.1fx\t%v\n",
-			m.Alg, m.Rounds, m.Blocks, m.InterpNsPerBlk, m.FastNsPerBlk, m.Speedup, m.Verified)
+		fmt.Fprintf(w, "%s\t%d\t%d\t%.0f\t%.0f\t%.1fx\t%v\t%v\n",
+			m.Alg, m.Rounds, m.Blocks, m.InterpNsPerBlk, m.FastNsPerBlk, m.Speedup, m.Tiled, m.Verified)
 	}
 	w.Flush()
 	return b.String()

@@ -7,7 +7,8 @@ import (
 
 // TestMeasureFastpath pins the comparison harness itself: every Table 3
 // configuration must trace-compile, both engines must agree (Verified),
-// and the JSON report must archive the rows.
+// exactly the full-unroll streaming rows must run tiled, and the JSON
+// report must archive the rows.
 func TestMeasureFastpath(t *testing.T) {
 	key := make([]byte, 16)
 	for i := range key {
@@ -27,6 +28,13 @@ func TestMeasureFastpath(t *testing.T) {
 		if m.FastNsPerBlk <= 0 || m.InterpNsPerBlk <= 0 {
 			t.Errorf("%s-%d: non-positive timing", m.Alg, m.Rounds)
 		}
+		p, err := Build(m.Config, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Tiled != p.Streaming {
+			t.Errorf("%s-%d: Tiled = %v, streaming program = %v", m.Alg, m.Rounds, m.Tiled, p.Streaming)
+		}
 	}
 	ms, err := MeasureAll(key, 8)
 	if err != nil {
@@ -42,6 +50,11 @@ func TestMeasureFastpath(t *testing.T) {
 	}
 	if len(r.Fastpath) != len(fms) {
 		t.Fatalf("JSON report archived %d fastpath rows, want %d", len(r.Fastpath), len(fms))
+	}
+	for i := range fms {
+		if r.Fastpath[i].Tiled != fms[i].Tiled {
+			t.Errorf("%s-%d: JSON archived tiled=%v, measured %v", fms[i].Alg, fms[i].Rounds, r.Fastpath[i].Tiled, fms[i].Tiled)
+		}
 	}
 	if txt := FastpathTableText(fms); len(txt) == 0 {
 		t.Fatal("empty table text")

@@ -200,24 +200,27 @@ func TestReconfigureKeepsRegistry(t *testing.T) {
 // on a warmed device with an active fastpath, the CTR hot path — counter
 // staging, encryption, keystream XOR, and all instrumentation — performs
 // no heap allocations (testing.AllocsPerRun runs one warm-up call, which
-// grows the device scratch).
+// grows the device scratch). The full-unroll pipelines run tile-major, so
+// the 64-block call crosses tile boundaries.
 func TestEncryptCTRIntoAllocFree(t *testing.T) {
-	d, err := Configure(Rijndael, key, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !d.UsesFastpath() {
-		t.Fatal("device did not compile a fastpath")
-	}
-	ctx := context.Background()
-	iv := make([]byte, 16)
-	src := make([]byte, 16*64)
-	dst := make([]byte, len(src))
-	if allocs := testing.AllocsPerRun(50, func() {
-		if _, err := d.EncryptCTRInto(ctx, dst, iv, src); err != nil {
+	for _, alg := range []Algorithm{Rijndael, Serpent, RC6} {
+		d, err := Configure(alg, key, Config{})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}); allocs != 0 {
-		t.Errorf("EncryptCTRInto: %.1f allocs/op, want 0", allocs)
+		if !d.UsesFastpath() {
+			t.Fatalf("%s: device did not compile a fastpath", alg)
+		}
+		ctx := context.Background()
+		iv := make([]byte, 16)
+		src := make([]byte, 16*64)
+		dst := make([]byte, len(src))
+		if allocs := testing.AllocsPerRun(50, func() {
+			if _, err := d.EncryptCTRInto(ctx, dst, iv, src); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: EncryptCTRInto: %.1f allocs/op, want 0", alg, allocs)
+		}
 	}
 }

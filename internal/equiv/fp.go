@@ -92,17 +92,20 @@ func (w *fpWalker) nextOutput() ([datapath.Cols]xid, error) {
 		}
 		ct := &ticks[w.pos]
 		w.pos++
-		out, emitted := w.tick(ct)
+		out, emitted, err := w.tick(ct)
+		if err != nil {
+			return zero, err
+		}
 		if emitted {
 			return out, nil
 		}
 	}
 }
 
-// tick mirrors Exec.runSeg for one compiled cycle.
-func (w *fpWalker) tick(ct *fastpath.TraceTick) (out [datapath.Cols]xid, emitted bool) {
+// tick mirrors Exec.runTick for one compiled cycle.
+func (w *fpWalker) tick(ct *fastpath.TraceTick) (out [datapath.Cols]xid, emitted bool, err error) {
 	if !ct.Enabled {
-		return out, false
+		return out, false, nil
 	}
 	a := w.a
 	var vec [datapath.Cols]xid
@@ -147,10 +150,12 @@ func (w *fpWalker) tick(ct *fastpath.TraceTick) (out [datapath.Cols]xid, emitted
 			} else {
 				x = prev[cell.Insel-4]
 			}
-			x = w.stepsExpr(cell.Steps, x, &vec)
+			if x, err = w.stepsExpr(cell.Steps, x, &vec); err != nil {
+				return out, false, err
+			}
 			if cell.Reg {
-				// Mirrors the executor's in-place swap: reg[r][c] is read
-				// only by this cell within the cycle.
+				// Mirrors the executor's register carry for one block:
+				// reg[r][c] is read only by this cell within the cycle.
 				next[c] = w.reg[r][c]
 				w.reg[r][c] = x
 			} else {
@@ -165,11 +170,13 @@ func (w *fpWalker) tick(ct *fastpath.TraceTick) (out [datapath.Cols]xid, emitted
 		vec[c] = traceWhiteExpr(a, vec[c], ct.WhiteOut[c])
 	}
 	w.fb = vec
-	return vec, ct.Emit
+	return vec, ct.Emit, nil
 }
 
 // stepsExpr mirrors evalSteps: one compiled element chain over expressions.
-func (w *fpWalker) stepsExpr(steps []fastpath.TraceStep, x xid, vec *[datapath.Cols]xid) xid {
+// A step kind it does not know is an error, never an identity: the walk
+// must not certify an operation it has not modelled.
+func (w *fpWalker) stepsExpr(steps []fastpath.TraceStep, x xid, vec *[datapath.Cols]xid) (xid, error) {
 	a := w.a
 	for i := range steps {
 		st := &steps[i]
@@ -220,9 +227,11 @@ func (w *fpWalker) stepsExpr(steps []fastpath.TraceStep, x xid, vec *[datapath.C
 			x = a.Square(x)
 		case fastpath.StepGFTab:
 			x = w.gfExpr(x, st.GF)
+		default:
+			return x, fmt.Errorf("equiv: unknown fastpath step kind %d", st.Kind)
 		}
 	}
-	return x
+	return x, nil
 }
 
 // preShiftExpr mirrors the executor's preShift on an A-element operand.

@@ -2,6 +2,7 @@ package fastpath
 
 import (
 	"fmt"
+	"slices"
 
 	"cobra/internal/bits"
 	"cobra/internal/datapath"
@@ -68,11 +69,14 @@ func Compile(src Source) (*Exec, error) {
 	e.fb = e.initFB
 
 	luts := snapshotLUTs(rec)
-	gfCache := make(map[[5]uint8]*gfTab)
-	if e.head, err = e.compileTicks(rec, 0, first+1, luts, gfCache); err != nil {
+	tabs := tableCache{
+		gf: make(map[[5]uint8]*gfTab),
+		s4: make(map[[4][16]uint8]*[4][256]uint8),
+	}
+	if e.head, err = e.compileTicks(rec, 0, first+1, luts, tabs); err != nil {
 		return nil, err
 	}
-	if e.period, err = e.compileTicks(rec, first+1, first+1+plen, luts, gfCache); err != nil {
+	if e.period, err = e.compileTicks(rec, first+1, first+1+plen, luts, tabs); err != nil {
 		return nil, err
 	}
 	if !e.head[len(e.head)-1].emit || countEmits(e.head) != 1 {
@@ -83,12 +87,55 @@ func Compile(src Source) (*Exec, error) {
 		// executor's termination guarantee, so assert it.
 		return nil, fmt.Errorf("%w: %s: steady period emits no output", ErrNotSteady, src.Name)
 	}
+	e.tiled = tileable(src, e.period)
+	e.steady = e.period
+	if e.tiled {
+		e.steady = nil
+		for len(e.steady) < tileBlocks {
+			e.steady = append(e.steady, e.period...)
+		}
+	}
+	markRuns(e.head)
+	markRuns(e.steady)
 
 	if err := selfCheck(e, rec, src); err != nil {
 		return nil, err
 	}
+	e.tileMax = tileBlocks
 	e.Reset()
 	return e, nil
+}
+
+// markRuns sets the run of every cycle, counting consecutive cycles from
+// it up to the end of ticks. An enabled cycle's run is the stretch that is
+// enabled, takes its input from the external port and configures the
+// datapath identically (1 for a cycle that starts no such stretch); runSeg
+// executes it as one kernel call over that many blocks. A stall cycle's
+// run is the stretch of stall cycles, whose counters runStats sums:
+// nothing moves during a stall and none emits, so runSeg adds them at once.
+func markRuns(ticks []cTick) {
+	for t := len(ticks) - 1; t >= 0; t-- {
+		ct := &ticks[t]
+		ct.run, ct.runStats = 1, ct.stats
+		if t+1 == len(ticks) {
+			continue
+		}
+		next := &ticks[t+1]
+		switch {
+		case !ct.enabled && !next.enabled:
+			ct.run += next.run
+			ct.runStats.Add(next.runStats)
+		case extends(ct, next):
+			ct.run += next.run
+		}
+	}
+}
+
+// extends reports whether cycle b may run in the same kernel call as the
+// cycle a before it: both are enabled, external-input cycles with the
+// same datapath configuration.
+func extends(a, b *cTick) bool {
+	return a.enabled && b.enabled && a.inMode == isa.InExternal && b.inMode == isa.InExternal && sameDatapath(a, b)
 }
 
 func countEmits(ticks []cTick) int {
@@ -144,25 +191,70 @@ func snapshotLUTs(rec *recording) []*rce.LUTStore {
 	return luts
 }
 
+// tileable reports whether the steady period admits tile-major execution:
+// the program is feed-forward (Streaming) and every period tick is
+// enabled, consumes an external block, emits, and configures the datapath
+// exactly like the first. Only the attributed counters may differ.
+func tileable(src Source, period []cTick) bool {
+	if !src.Streaming {
+		return false
+	}
+	for i := range period {
+		if !period[i].emit || !extends(&period[0], &period[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameDatapath reports whether two compiled cycles configure the
+// whitening, shufflers and cells identically.
+func sameDatapath(a, b *cTick) bool {
+	if a.whiteIn != b.whiteIn || a.whiteOut != b.whiteOut || len(a.rows) != len(b.rows) {
+		return false
+	}
+	for r := range a.rows {
+		ra, rb := &a.rows[r], &b.rows[r]
+		if (ra.shuffle == nil) != (rb.shuffle == nil) || ra.shuffle != nil && *ra.shuffle != *rb.shuffle {
+			return false
+		}
+		for c := range ra.cells {
+			ca, cb := &ra.cells[c], &rb.cells[c]
+			if ca.regOnly != cb.regOnly || ca.insel != cb.insel ||
+				ca.reg != cb.reg || !slices.Equal(ca.steps, cb.steps) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // selfCheck replays the recorded inputs through the freshly compiled trace
 // and requires bit-identical outputs and counters before the executor is
 // released — the last line of the equivalence proof, and a guard against
-// compiler bugs on programs outside the test matrix.
+// compiler bugs on programs outside the test matrix. The replay runs twice:
+// with full tiles, and with tiles of two blocks, so that every run of
+// more than two cycles — a tiled program's steady outputs among them —
+// also crosses tile boundaries and its register carry between them.
 func selfCheck(e *Exec, rec *recording, src Source) error {
 	in := recordInputs(recBlocks, src)
-	dst := make([]bits.Block128, recBlocks)
-	st, err := e.EncryptInto(dst, in[:recBlocks])
-	if err != nil {
-		return fmt.Errorf("%w: %s: self-check: %v", ErrNotSteady, src.Name, err)
-	}
-	if st != rec.final {
-		return fmt.Errorf("%w: %s: self-check counters %+v != recorded %+v",
-			ErrNotSteady, src.Name, st, rec.final)
-	}
 	got := rec.m.Outputs()
-	for i := range dst {
-		if dst[i] != got[i] {
-			return fmt.Errorf("%w: %s: self-check output %d mismatch", ErrNotSteady, src.Name, i)
+	for _, tile := range []int{tileBlocks, 2} {
+		e.tileMax = tile
+		e.Reset()
+		dst := make([]bits.Block128, recBlocks)
+		st, err := e.EncryptInto(dst, in[:recBlocks])
+		if err != nil {
+			return fmt.Errorf("%w: %s: self-check: %v", ErrNotSteady, src.Name, err)
+		}
+		if st != rec.final {
+			return fmt.Errorf("%w: %s: self-check (tile %d) counters %+v != recorded %+v",
+				ErrNotSteady, src.Name, tile, st, rec.final)
+		}
+		for i := range dst {
+			if dst[i] != got[i] {
+				return fmt.Errorf("%w: %s: self-check (tile %d) output %d mismatch", ErrNotSteady, src.Name, tile, i)
+			}
 		}
 	}
 	return nil
@@ -206,6 +298,13 @@ const (
 // — turning the bit-serial, data-dependent GFMul into four table reads.
 type gfTab [4][256]uint32
 
+// tableCache shares the folded tables of one Compile between the cells
+// and cycles that configure them identically.
+type tableCache struct {
+	gf map[[5]uint8]*gfTab
+	s4 map[[4][16]uint8]*[4][256]uint8
+}
+
 // step is one compiled element operation of an RCE's chain.
 type step struct {
 	kind  uint8
@@ -215,13 +314,14 @@ type step struct {
 	immER bool   // imm was folded from an eRAM read (key provenance)
 	imm   uint32 // folded immediate operand
 	lut   *rce.LUTStore
-	gf    *gfTab // F element tables
+	tab   *[4][256]uint8 // C element byte tables: the S8 lanes, or s4Table's
+	gf    *gfTab         // F element tables
 }
 
 // cCell is one RCE at one cycle.
 type cCell struct {
-	// passthrough: identity configuration, out = vec[col] with no register;
-	// the executor skips the cell entirely.
+	// passthrough: identity configuration, out = vec[col] with no register
+	// (the executor copies the word, as for any cell without steps).
 	passthrough bool
 	// regOnly: registered and held — out = reg, nothing evaluated.
 	regOnly bool
@@ -243,17 +343,6 @@ type cWhite struct {
 	key  uint32
 }
 
-func (w cWhite) apply(x uint32) uint32 {
-	switch w.mode {
-	case isa.WhiteXor:
-		return x ^ w.key
-	case isa.WhiteAdd:
-		return x + w.key
-	default:
-		return x
-	}
-}
-
 // cTick is one compiled datapath cycle: the resolved array configuration
 // plus the interpreter counters attributed to the cycle.
 type cTick struct {
@@ -261,6 +350,8 @@ type cTick struct {
 	inMode   isa.InMuxMode
 	eramVec  bits.Block128
 	emit     bool
+	run      int       // see markRuns
+	runStats sim.Stats // stall cycles: the counters of the run
 	stats    sim.Stats
 	whiteIn  [datapath.Cols]cWhite
 	whiteOut [datapath.Cols]cWhite
@@ -275,7 +366,7 @@ const compElems = 1<<isa.ElemE1 | 1<<isa.ElemA1 | 1<<isa.ElemB | 1<<isa.ElemC |
 	1<<isa.ElemE2 | 1<<isa.ElemD | 1<<isa.ElemF | 1<<isa.ElemA2 | 1<<isa.ElemE3
 
 // compileTicks translates recorded cycles [from, to) into executable form.
-func (e *Exec) compileTicks(rec *recording, from, to int, luts []*rce.LUTStore, gfCache map[[5]uint8]*gfTab) ([]cTick, error) {
+func (e *Exec) compileTicks(rec *recording, from, to int, luts []*rce.LUTStore, tabs tableCache) ([]cTick, error) {
 	name := e.src.Name
 	out := make([]cTick, 0, to-from)
 	for t := from; t < to; t++ {
@@ -338,7 +429,7 @@ func (e *Exec) compileTicks(rec *recording, from, to int, luts []*rce.LUTStore, 
 					dead = e.src.DeadElems[idx] & compElems
 				}
 				rs := s.rces[r*datapath.Cols+c]
-				cell := compileCell(rs, c, luts[r*datapath.Cols+c], gfCache, dead)
+				cell := compileCell(rs, c, luts[r*datapath.Cols+c], tabs, dead)
 				e.elided += cell.elided
 				ct.rows[r].cells[c] = cell
 			}
@@ -411,11 +502,37 @@ func gfTables(mode isa.FMode, c [4]uint8, cache map[[5]uint8]*gfTab) *gfTab {
 	return t
 }
 
+// s4Table builds (or reuses) the byte-indexed form of one C element's
+// 4×4 S-box page: tab[p][v] substitutes both nibbles of byte v at byte
+// position p, whose two nibble lanes (2p and 2p+1) read LUT bank p. The
+// eight-lane nibble loop of rce.Eval becomes four byte lookups, like 8×8
+// mode.
+func s4Table(lut *rce.LUTStore, page uint8, cache map[[4][16]uint8]*[4][256]uint8) *[4][256]uint8 {
+	var key [4][16]uint8
+	base := 16 * int(page&7)
+	for p := range key {
+		for n := range key[p] {
+			key[p][n] = lut.S4[p][base+n] & 0xf
+		}
+	}
+	if t, ok := cache[key]; ok {
+		return t
+	}
+	t := new([4][256]uint8)
+	for p := range t {
+		for v := range t[p] {
+			t[p][v] = key[p][v&0xf] | key[p][v>>4]<<4
+		}
+	}
+	cache[key] = t
+	return t
+}
+
 // compileCell translates one RCE's per-cycle configuration into its step
 // list, folding everything constant. Elements whose dead-mask bit is set
 // compile as bypass: their value is unobservable, so dropping the step
 // preserves every output (see Source.DeadElems).
-func compileCell(rs rceSnap, col int, lut *rce.LUTStore, gfCache map[[5]uint8]*gfTab, dead uint16) cCell {
+func compileCell(rs rceSnap, col int, lut *rce.LUTStore, tabs tableCache, dead uint16) cCell {
 	cfg := rs.cfg
 	cell := cCell{reg: cfg.Reg.Enabled}
 	// drop reports whether the dead mask elides an otherwise-active element,
@@ -524,11 +641,12 @@ func compileCell(rs rceSnap, col int, lut *rce.LUTStore, gfCache map[[5]uint8]*g
 	if !drop(isa.ElemC, cfg.C.Mode != isa.CBypass) {
 		switch cfg.C.Mode {
 		case isa.CS8x8:
-			cell.steps = append(cell.steps, step{kind: stS8, lut: lut})
+			cell.steps = append(cell.steps, step{kind: stS8, lut: lut, tab: &lut.S8})
 		case isa.CS4x4:
-			cell.steps = append(cell.steps, step{kind: stS4, lut: lut, aux: cfg.C.Page & 7})
+			page := cfg.C.Page & 7
+			cell.steps = append(cell.steps, step{kind: stS4, lut: lut, aux: page, tab: s4Table(lut, page, tabs.s4)})
 		case isa.CS8to32:
-			cell.steps = append(cell.steps, step{kind: stS8to32, lut: lut, aux: cfg.C.ByteSel & 3})
+			cell.steps = append(cell.steps, step{kind: stS8to32, lut: lut, tab: &lut.S8, aux: cfg.C.ByteSel & 3})
 		}
 	}
 	if !drop(isa.ElemE2, cfg.E2.Mode != isa.EBypass) {
@@ -564,7 +682,7 @@ func compileCell(rs rceSnap, col int, lut *rce.LUTStore, gfCache map[[5]uint8]*g
 		}
 	}
 	if (cfg.F.Mode == isa.FLanes || cfg.F.Mode == isa.FMDS) && !drop(isa.ElemF, true) {
-		cell.steps = append(cell.steps, step{kind: stGFTab, gf: gfTables(cfg.F.Mode, cfg.F.Consts, gfCache)})
+		cell.steps = append(cell.steps, step{kind: stGFTab, gf: gfTables(cfg.F.Mode, cfg.F.Consts, tabs.gf)})
 	}
 	if !drop(isa.ElemA2, cfg.A2.Op != isa.ABypass) {
 		addA(cfg.A2)

@@ -15,6 +15,7 @@ import (
 
 	"cobra/internal/bits"
 	"cobra/internal/core"
+	"cobra/internal/fastpath"
 	"cobra/internal/program"
 	"cobra/internal/sim"
 )
@@ -148,42 +149,73 @@ func TestDifferentialAllBuilders(t *testing.T) {
 			if err != nil {
 				t.Fatalf("build: %v", err)
 			}
-			ex, err := p.Compile()
-			if err != nil {
-				t.Fatalf("trace compilation must succeed for every built-in program: %v", err)
-			}
-			m, err := program.NewMachine(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := program.Load(m, p); err != nil {
-				t.Fatal(err)
-			}
-
-			rng := rand.New(rand.NewSource(0xc0b2a))
-			for call, n := range []int{1, 3, 1, 7, 2, 5, 1, 1, 4} {
-				in := randomBlocks(rng, n)
-				want := make([]bits.Block128, n)
-				wantStats, err := program.Run(m, p, want, in, program.Opts{})
-				if err != nil {
-					t.Fatalf("call %d: interpreter: %v", call, err)
-				}
-				got := make([]bits.Block128, n)
-				gotStats, err := ex.EncryptInto(got, in)
-				if err != nil {
-					t.Fatalf("call %d: fastpath: %v", call, err)
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("call %d block %d: fastpath %08x != interpreter %08x",
-							call, i, got[i], want[i])
-					}
-				}
-				if gotStats != wantStats {
-					t.Fatalf("call %d: fastpath stats %+v != interpreter %+v", call, gotStats, wantStats)
-				}
-			}
+			diffCalls(t, p, []int{1, 3, 1, 7, 2, 5, 1, 1, 4})
 		})
+	}
+}
+
+// TestDifferentialTiled drives every streaming builder across the tile
+// boundaries of tile-major execution: calls of T−1, T, T+1 and 2T+1
+// blocks and one of 4096 blocks, each followed by a short call on the
+// dirty executor, must match the interpreter block for block and counter
+// for counter.
+func TestDifferentialTiled(t *testing.T) {
+	const T = fastpath.TileBlocks
+	for _, c := range allBuilders() {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			p, err := c.build()
+			if err != nil {
+				t.Fatalf("build: %v", err)
+			}
+			if !p.Streaming {
+				t.Skip("not a streaming program")
+			}
+			diffCalls(t, p, []int{T - 1, 1, T, 2, T + 1, 3, 2*T + 1, 1, 4096, 5})
+		})
+	}
+}
+
+// diffCalls runs a call of each size through the compiled executor and the
+// interpreter in order, both freshly loaded with p, requiring identical
+// ciphertext and identical per-call counters.
+func diffCalls(t *testing.T, p *program.Program, sizes []int) {
+	t.Helper()
+	ex, err := p.Compile()
+	if err != nil {
+		t.Fatalf("trace compilation must succeed for every built-in program: %v", err)
+	}
+	m, err := program.NewMachine(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := program.Load(m, p); err != nil {
+		t.Fatal(err)
+	}
+
+	rng := rand.New(rand.NewSource(0xc0b2a))
+	for call, n := range sizes {
+		in := randomBlocks(rng, n)
+		want := make([]bits.Block128, n)
+		wantStats, err := program.Run(m, p, want, in, program.Opts{})
+		if err != nil {
+			t.Fatalf("call %d (%d blocks): interpreter: %v", call, n, err)
+		}
+		got := make([]bits.Block128, n)
+		gotStats, err := ex.EncryptInto(got, in)
+		if err != nil {
+			t.Fatalf("call %d (%d blocks): fastpath: %v", call, n, err)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("call %d (%d blocks) block %d: fastpath %08x != interpreter %08x",
+					call, n, i, got[i], want[i])
+			}
+		}
+		if gotStats != wantStats {
+			t.Fatalf("call %d (%d blocks): fastpath stats %+v != interpreter %+v", call, n, gotStats, wantStats)
+		}
 	}
 }
 

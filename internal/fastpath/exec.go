@@ -7,166 +7,319 @@ import (
 	"cobra/internal/sim"
 )
 
-// runSeg replays a compiled cycle segment from index start: the executor's
-// inner loop. Each cycle's attributed counters are accumulated into acc, so
-// the total matches the interpreter's delta for the same stretch. The
-// segment stops immediately after the cycle that emits the want-th output —
-// exactly where the interpreter's run would stop — and returns the index
-// one past the last executed cycle (len(ticks) when it ran to the end).
-// Stall cycles only move counters; enabled cycles move one 128-bit vector
-// down the array exactly as datapath.Tick would, but with every
-// configuration decision pre-resolved.
+// tileBlocks is the tile size of tile-major execution: the number of blocks
+// one element step sweeps before the next step is dispatched.
+const tileBlocks = 32
+
+// lanes holds up to tileBlocks blocks column-major — lanes[c][b] is word c
+// of block b — so an element step sweeps one contiguous column.
+type lanes [datapath.Cols][tileBlocks]uint32
+
+// set stores v as block b.
+//
+//cobra:hotpath
+func (l *lanes) set(b int, v bits.Block128) {
+	l[0][b], l[1][b], l[2][b], l[3][b] = v[0], v[1], v[2], v[3]
+}
+
+// get returns block b.
+//
+//cobra:hotpath
+func (l *lanes) get(b int) bits.Block128 {
+	return bits.Block128{l[0][b], l[1][b], l[2][b], l[3][b]}
+}
+
+// tileBuf is the kernel's working set. A row reads its input vector and
+// the previous row's input (INSEL's bypass bus) and writes its output, so
+// the three roles rotate through three lane sets.
+type tileBuf [3]lanes
+
+// spare returns the index of a lane set holding neither the current nor
+// the previous row input.
+//
+//cobra:hotpath
+func spare(cur, prev int) int {
+	if cur == prev {
+		return (cur + 1) % 3
+	}
+	return 3 - cur - prev
+}
+
+// runSeg replays a compiled cycle segment from index start. Each cycle's
+// attributed counters are accumulated into acc, so the total matches the
+// interpreter's delta for the same stretch. The segment stops immediately
+// after the cycle that emits the want-th output — exactly where the
+// interpreter's run would stop — and returns the index one past the last
+// executed cycle (len(ticks) when it ran to the end). Stall cycles only
+// move counters, a whole stretch of them at once. Enabled cycles run
+// through runTick in runs: a cycle's run
+// (cTick.run, at most e.tileMax) is the stretch of consecutive cycles
+// Compile proved to share one datapath configuration and to read only the
+// external port, so one kernel call moves all their blocks down the array
+// (see "Tile-major execution" in the package doc); any other cycle is a
+// run of one.
 //
 //cobra:hotpath
 func (e *Exec) runSeg(ticks []cTick, start int, in []bits.Block128, inPos *int, dst []bits.Block128, want int, outPos *int, acc *sim.Stats) int {
-	for t := start; t < len(ticks); t++ {
+	buf := &e.buf
+	for t := start; t < len(ticks); {
 		ct := &ticks[t]
-		acc.Add(ct.stats)
 		if !ct.enabled {
+			acc.Add(ct.runStats)
+			t += ct.run
 			continue
 		}
-		var vec bits.Block128
+		k := min(ct.run, e.tileMax)
+		emits := *outPos
+		for j := 0; j < k; j++ {
+			tj := &ticks[t+j]
+			acc.Add(tj.stats)
+			if tj.emit {
+				if emits++; emits == want {
+					k = j + 1
+					break
+				}
+			}
+		}
 		switch ct.inMode {
 		case isa.InExternal:
-			vec = in[*inPos]
-			*inPos++
+			for b, v := range in[*inPos : *inPos+k] {
+				buf[0].set(b, v)
+			}
+			*inPos += k
 		case isa.InFeedback:
-			vec = e.fb
+			buf[0].set(0, e.fb)
 		default:
-			vec = ct.eramVec
+			buf[0].set(0, ct.eramVec)
 		}
-		if ct.anyWhite {
-			for c := 0; c < datapath.Cols; c++ {
-				vec[c] = ct.whiteIn[c].apply(vec[c])
-			}
-		}
-
-		prev := vec
-		for r := range ct.rows {
-			row := &ct.rows[r]
-			if row.shuffle != nil {
-				vec = shuffleBytes(vec, row.shuffle)
-			}
-			rowIn := vec
-			var out bits.Block128
-			regRow := &e.reg[r]
-			for c := 0; c < datapath.Cols; c++ {
-				cell := &row.cells[c]
-				if cell.passthrough {
-					out[c] = vec[c]
-					continue
-				}
-				if cell.regOnly {
-					out[c] = regRow[c]
-					continue
-				}
-				var x uint32
-				if cell.insel < 4 {
-					x = vec[cell.insel]
-				} else {
-					x = prev[cell.insel-4]
-				}
-				x = evalSteps(cell.steps, x, &vec)
-				if cell.reg {
-					// In-place swap is safe: regRow[c] is read only by this
-					// cell within the cycle.
-					out[c] = regRow[c]
-					regRow[c] = x
-				} else {
-					out[c] = x
-				}
-			}
-			vec = out
-			prev = rowIn
-		}
-
-		if ct.anyWhite {
-			for c := 0; c < datapath.Cols; c++ {
-				vec[c] = ct.whiteOut[c].apply(vec[c])
+		out := &buf[e.runTick(ct, k)]
+		for j := 0; j < k; j++ {
+			if ticks[t+j].emit {
+				dst[*outPos] = out.get(j)
+				*outPos++
 			}
 		}
-		e.fb = vec
-		if ct.emit {
-			dst[*outPos] = vec
-			*outPos++
-			if *outPos == want {
-				return t + 1
-			}
+		e.fb = out.get(k - 1)
+		t += k
+		if *outPos == want {
+			return t
 		}
 	}
 	return len(ticks)
 }
 
-// evalSteps runs one RCE's compiled element chain.
+// runTick evaluates one compiled enabled cycle over k blocks (1 ≤ k ≤
+// tileBlocks) loaded column-major into e.buf[0], and returns the index of
+// the lane set holding the outputs. It is the executor's only datapath
+// kernel: the loop nest runs row by row, cell by cell, and step by step
+// over all k blocks, so each configuration decision is dispatched once per
+// tile.
 //
 //cobra:hotpath
-func evalSteps(steps []step, x uint32, vec *bits.Block128) uint32 {
+func (e *Exec) runTick(ct *cTick, k int) int {
+	buf := &e.buf
+	cur, prev := 0, 0
+	if ct.anyWhite {
+		whiten(&ct.whiteIn, &buf[cur], k)
+	}
+	for r := range ct.rows {
+		row := &ct.rows[r]
+		if row.shuffle != nil {
+			s := spare(cur, prev)
+			shuffleLanes(&buf[s], &buf[cur], row.shuffle, k)
+			cur = s
+		}
+		o := spare(cur, prev)
+		evalRow(row, &buf[o], &buf[cur], &buf[prev], &e.reg[r], k)
+		prev, cur = cur, o
+	}
+	if ct.anyWhite {
+		whiten(&ct.whiteOut, &buf[cur], k)
+	}
+	return cur
+}
+
+// evalRow evaluates one row's cells over k blocks: out receives the row
+// output, vec is the row input the cells and their operands select from,
+// pv the previous row's input (INSEL's bypass bus), and regRow the row's
+// pipeline registers.
+//
+//cobra:hotpath
+func evalRow(row *cRow, out, vec, pv *lanes, regRow *[datapath.Cols]uint32, k int) {
+	for c := range row.cells {
+		cell := &row.cells[c]
+		x := out[c][:k]
+		if cell.regOnly {
+			for b := range x {
+				x[b] = regRow[c]
+			}
+			continue
+		}
+		src := vec
+		if cell.insel >= 4 {
+			src = pv
+		}
+		y := src[cell.insel&3][:len(x)]
+		if len(cell.steps) > 0 {
+			evalSteps(cell.steps, x, y, vec)
+		} else {
+			for b := range x {
+				x[b] = y[b]
+			}
+		}
+		if cell.reg {
+			// Register carry: block b presents what block b−1 latched, the
+			// first block the register's current value; the last block's
+			// value stays latched.
+			last := x[k-1]
+			for b := k - 1; b > 0; b-- {
+				x[b] = x[b-1]
+			}
+			x[0] = regRow[c]
+			regRow[c] = last
+		}
+	}
+}
+
+// whiten applies one whitening stage to the first k blocks of v.
+//
+//cobra:hotpath
+func whiten(w *[datapath.Cols]cWhite, v *lanes, k int) {
+	for c := 0; c < datapath.Cols; c++ {
+		x := v[c][:k]
+		key := w[c].key
+		switch w[c].mode {
+		case isa.WhiteXor:
+			for b := range x {
+				x[b] ^= key
+			}
+		case isa.WhiteAdd:
+			for b := range x {
+				x[b] += key
+			}
+		}
+	}
+}
+
+// evalSteps runs one RCE's compiled element chain over a lane vector: x
+// holds the chain value of each block and vec the row input the operands
+// select from. Each step is dispatched once and swept over every block.
+//
+//cobra:hotpath
+func evalSteps(steps []step, x, y []uint32, vec *lanes) {
+	n := len(x)
+	y = y[:n]
 	for i := range steps {
 		st := &steps[i]
 		switch st.kind {
 		case stXorImm:
-			x ^= st.imm
-		case stXorBlk:
-			x ^= preShift(vec[st.src], st.aux, st.flag)
-		case stAddImm:
-			x = bits.AddMod(x, st.imm, bits.Width(st.aux))
-		case stAddBlk:
-			x = bits.AddMod(x, vec[st.src], bits.Width(st.aux))
-		case stRotlImm:
-			x = bits.RotL(x, uint(st.aux))
-		case stRotlVar:
-			x = bits.RotL(x, varAmt(vec[st.src], st.flag))
-		case stShlImm:
-			x = bits.Shl(x, uint(st.aux))
-		case stShrImm:
-			x = bits.Shr(x, uint(st.aux))
-		case stShlVar:
-			x = bits.Shl(x, varAmt(vec[st.src], st.flag))
-		case stShrVar:
-			x = bits.Shr(x, varAmt(vec[st.src], st.flag))
-		case stAndImm:
-			x &= st.imm
-		case stAndBlk:
-			x &= preShift(vec[st.src], st.aux, st.flag)
-		case stOrImm:
-			x |= st.imm
-		case stOrBlk:
-			x |= preShift(vec[st.src], st.aux, st.flag)
-		case stSubImm:
-			x = bits.SubMod(x, st.imm, bits.Width(st.aux))
-		case stSubBlk:
-			x = bits.SubMod(x, vec[st.src], bits.Width(st.aux))
-		case stS8:
-			t := &st.lut.S8
-			x = uint32(t[0][uint8(x)]) |
-				uint32(t[1][uint8(x>>8)])<<8 |
-				uint32(t[2][uint8(x>>16)])<<16 |
-				uint32(t[3][uint8(x>>24)])<<24
-		case stS4:
-			base := uint32(st.aux) * 16
-			t := &st.lut.S4
-			var out uint32
-			for lane := 0; lane < 8; lane++ {
-				n := x >> (4 * uint(lane)) & 0xf
-				out |= uint32(t[lane/2][base+n]&0xf) << (4 * uint(lane))
+			for b := range x {
+				x[b] = y[b] ^ st.imm
 			}
-			x = out
+		case stXorBlk:
+			z := vec[st.src][:n]
+			for b := range x {
+				x[b] = y[b] ^ preShift(z[b], st.aux, st.flag)
+			}
+		case stAddImm:
+			for b := range x {
+				x[b] = bits.AddMod(y[b], st.imm, bits.Width(st.aux))
+			}
+		case stAddBlk:
+			z := vec[st.src][:n]
+			for b := range x {
+				x[b] = bits.AddMod(y[b], z[b], bits.Width(st.aux))
+			}
+		case stRotlImm:
+			for b := range x {
+				x[b] = bits.RotL(y[b], uint(st.aux))
+			}
+		case stRotlVar:
+			z := vec[st.src][:n]
+			for b := range x {
+				x[b] = bits.RotL(y[b], varAmt(z[b], st.flag))
+			}
+		case stShlImm:
+			for b := range x {
+				x[b] = bits.Shl(y[b], uint(st.aux))
+			}
+		case stShrImm:
+			for b := range x {
+				x[b] = bits.Shr(y[b], uint(st.aux))
+			}
+		case stShlVar:
+			z := vec[st.src][:n]
+			for b := range x {
+				x[b] = bits.Shl(y[b], varAmt(z[b], st.flag))
+			}
+		case stShrVar:
+			z := vec[st.src][:n]
+			for b := range x {
+				x[b] = bits.Shr(y[b], varAmt(z[b], st.flag))
+			}
+		case stAndImm:
+			for b := range x {
+				x[b] = y[b] & st.imm
+			}
+		case stAndBlk:
+			z := vec[st.src][:n]
+			for b := range x {
+				x[b] = y[b] & preShift(z[b], st.aux, st.flag)
+			}
+		case stOrImm:
+			for b := range x {
+				x[b] = y[b] | st.imm
+			}
+		case stOrBlk:
+			z := vec[st.src][:n]
+			for b := range x {
+				x[b] = y[b] | preShift(z[b], st.aux, st.flag)
+			}
+		case stSubImm:
+			for b := range x {
+				x[b] = bits.SubMod(y[b], st.imm, bits.Width(st.aux))
+			}
+		case stSubBlk:
+			z := vec[st.src][:n]
+			for b := range x {
+				x[b] = bits.SubMod(y[b], z[b], bits.Width(st.aux))
+			}
+		case stS8, stS4:
+			t := st.tab
+			for b, v := range y {
+				x[b] = uint32(t[0][uint8(v)]) |
+					uint32(t[1][uint8(v>>8)])<<8 |
+					uint32(t[2][uint8(v>>16)])<<16 |
+					uint32(t[3][v>>24])<<24
+			}
 		case stS8to32:
-			b := uint8(x >> (8 * uint(st.aux)))
-			t := &st.lut.S8
-			x = uint32(t[0][b]) | uint32(t[1][b])<<8 | uint32(t[2][b])<<16 | uint32(t[3][b])<<24
+			t := st.tab
+			sh := 8 * uint(st.aux)
+			for b, v := range y {
+				s := uint8(v >> sh)
+				x[b] = uint32(t[0][s]) | uint32(t[1][s])<<8 | uint32(t[2][s])<<16 | uint32(t[3][s])<<24
+			}
 		case stMulImm:
-			x = bits.MulMod(x, st.imm, bits.Width(st.aux))
+			for b := range x {
+				x[b] = bits.MulMod(y[b], st.imm, bits.Width(st.aux))
+			}
 		case stMulBlk:
-			x = bits.MulMod(x, vec[st.src], bits.Width(st.aux))
+			z := vec[st.src][:n]
+			for b := range x {
+				x[b] = bits.MulMod(y[b], z[b], bits.Width(st.aux))
+			}
 		case stSquare:
-			x = bits.SquareMod32(x)
+			for b := range x {
+				x[b] = bits.SquareMod32(y[b])
+			}
 		case stGFTab:
 			t := st.gf
-			x = t[0][x&0xff] ^ t[1][x>>8&0xff] ^ t[2][x>>16&0xff] ^ t[3][x>>24]
+			for b, v := range y {
+				x[b] = t[0][v&0xff] ^ t[1][v>>8&0xff] ^ t[2][v>>16&0xff] ^ t[3][v>>24]
+			}
 		}
+		y = x
 	}
-	return x
 }
 
 // varAmt extracts a data-dependent shift amount: the low five bits of the
@@ -194,15 +347,18 @@ func preShift(v uint32, amt uint8, rot bool) uint32 {
 	return bits.Shl(v, uint(amt))
 }
 
-// shuffleBytes permutes the 16 bytes of the stream through a compiled
-// shuffler permutation (perm[dst] = src byte index).
+// shuffleLanes permutes the 16 bytes of the first k blocks of src into dst
+// through a compiled shuffler permutation (perm[d] = source byte index).
 //
 //cobra:hotpath
-func shuffleBytes(v bits.Block128, perm *[16]uint8) bits.Block128 {
-	var out bits.Block128
-	for dst := 0; dst < 16; dst++ {
-		b := uint8(v[perm[dst]>>2] >> (8 * uint(perm[dst]&3)))
-		out[dst>>2] |= uint32(b) << (8 * uint(dst&3))
+func shuffleLanes(dst, src *lanes, perm *[16]uint8, k int) {
+	for w := 0; w < datapath.Cols; w++ {
+		p := perm[4*w : 4*w+4]
+		y0, y1, y2, y3 := src[p[0]>>2][:k], src[p[1]>>2][:k], src[p[2]>>2][:k], src[p[3]>>2][:k]
+		s0, s1, s2, s3 := 8*uint(p[0]&3), 8*uint(p[1]&3), 8*uint(p[2]&3), 8*uint(p[3]&3)
+		x := dst[w][:k]
+		for b := range x {
+			x[b] = y0[b]>>s0&0xff | (y1[b]>>s1&0xff)<<8 | (y2[b]>>s2&0xff)<<16 | (y3[b]>>s3&0xff)<<24
+		}
 	}
-	return out
 }

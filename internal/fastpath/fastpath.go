@@ -2,7 +2,7 @@
 // programs: it runs one steady-state encryption window through the
 // cycle-accurate machine (package sim) in a recording mode, proves the
 // recorded cycle stream periodic, and "compiles" it into a flat per-cycle
-// op-list executed as a tight Go loop over 128-bit blocks — no iRAM fetch,
+// op-list executed as tight Go loops over 128-bit blocks — no iRAM fetch,
 // no control-word unpacking, no per-cycle dispatch through datapath.Array.
 //
 // # Why this is sound
@@ -47,6 +47,49 @@
 // exactly where the interpreter would. The differential tests in this
 // package cross-check ciphertext and counters against the interpreter for
 // every builder at every depth and window.
+//
+// # Tile-major execution
+//
+// The executor has one datapath kernel, runTick, which evaluates a
+// compiled cycle over k blocks at once: row by row, cell by cell, and
+// within a cell step by step over all k blocks, so every configuration
+// decision (cell kind, step kind, operands, tables) is dispatched once per
+// k blocks. A cycle outside a run is this kernel with k = 1 (per-tick
+// order). Compile marks runs: stretches of consecutive cycles that
+//
+//   - are feed-forward: every cycle is enabled and takes its input from
+//     the external port, so none reads the feedback vector or eRAM
+//     playback, and no block in the run depends on another block's output;
+//   - are uniform: every cycle configures whitening, shufflers and every
+//     cell identically. Only the attributed counters and whether a cycle
+//     emits may differ (the sequencer's idle loop alternates instructions
+//     while the datapath repeats; a pipeline's fill cycles emit nothing).
+//
+// runSeg executes a run as one kernel call over up to tileBlocks blocks,
+// and the loop interchange is sound. Cycle t of the run computes, row by
+// row, a function of input block t and of the pipeline registers alone,
+// and the same function at every t. Within a cycle, row r reads only row
+// r−1's output and input, which belong to the same block. A register is
+// the only state that crosses cycles: the value a registered cell presents
+// at cycle t is the value it latched at cycle t−1. The kernel therefore
+// evaluates row r for blocks t..t+k−1 in order and carries each register
+// through them: block b sees what block b−1 latched, the first block sees
+// the register as the previous tile (or the cycles before the run) left
+// it, and the last block's value stays latched for the next tile. Every
+// value is computed from the same operands as in per-tick order, so
+// outputs and registers are bit-identical; emitting cycles hand out their
+// block in order, and a tile ends at the cycle that emits the call's last
+// output. Counters are still summed per cycle from the resume point, so
+// they stay exact too.
+//
+// A streaming pipeline's head holds one such run (the pipeline fill). When
+// the whole steady period is one uniform, feed-forward run in which every
+// cycle emits — a Streaming program at full unroll — the period repeats
+// without end, so Compile unrolls it to at least one tile (Exec.steady)
+// and every steady tile holds tileBlocks blocks; Exec.Tiled reports this.
+// Iterative (feedback) programs run per tick. selfCheck replays the
+// recording at full tiles and at tiles of two blocks before Compile
+// returns, so every run is also checked across tile boundaries.
 package fastpath
 
 import (
@@ -105,6 +148,16 @@ type Exec struct {
 	rows   int
 	elided int // element operations dropped under Source.DeadElems
 
+	// steady is the period the executor runs: the period itself, or, when
+	// tiled, the period repeated to at least tileBlocks cycles so that a
+	// tile never wraps (see "Tile-major execution" in the package doc).
+	steady []cTick
+	tiled  bool // the steady period is one endless run (Exec.Tiled)
+	// tileMax caps a kernel call's blocks: tileBlocks, except while
+	// selfCheck replays with short tiles to cross tile boundaries.
+	tileMax int
+	buf     tileBuf
+
 	initReg [][datapath.Cols]uint32
 	initFB  bits.Block128
 
@@ -112,8 +165,8 @@ type Exec struct {
 	fb    bits.Block128
 	dirty bool
 
-	// periodPos is the resume point inside the steady period: the index of
-	// the next cycle to run when the executor is dirty. The interpreter
+	// periodPos is the resume point inside steady: the index of the next
+	// cycle to run when the executor is dirty. The interpreter
 	// stops immediately after an output cycle; when a period holds several
 	// outputs that stop lands mid-period, and the next call picks up here.
 	periodPos int
@@ -134,6 +187,10 @@ func (e *Exec) Dirty() bool { return e.dirty }
 // Elided returns the number of element operations the compiler dropped
 // across all compiled cycles under Source.DeadElems (0 without a mask).
 func (e *Exec) Elided() int { return e.elided }
+
+// Tiled reports whether the steady period runs tile-major, tileBlocks
+// blocks per kernel call, rather than one cycle at a time.
+func (e *Exec) Tiled() bool { return e.tiled }
 
 // Reset restores the post-load state: the executor behaves as if the
 // program had just been reloaded on a fresh machine (counters restart at
@@ -185,33 +242,10 @@ func (e *Exec) EncryptInto(dst, blocks []bits.Block128) (sim.Stats, error) {
 		e.runSeg(e.head, 0, in, &inPos, dst, n, &outPos, &stats)
 	}
 	for outPos < n {
-		stop := e.runSeg(e.period, e.periodPos, in, &inPos, dst, n, &outPos, &stats)
-		e.periodPos = stop % len(e.period)
+		stop := e.runSeg(e.steady, e.periodPos, in, &inPos, dst, n, &outPos, &stats)
+		e.periodPos = stop % len(e.steady)
 	}
 	e.dirty = true
-	return stats, nil
-}
-
-// EncryptBytesInto is EncryptInto for byte-oriented callers: src must be a
-// multiple of 16 bytes, dst at least as long as src, and dst may alias src.
-func (e *Exec) EncryptBytesInto(dst, src []byte) (sim.Stats, error) {
-	if len(src)%16 != 0 {
-		return sim.Stats{}, fmt.Errorf("fastpath: input length %d is not a multiple of the block size", len(src))
-	}
-	if len(dst) < len(src) {
-		return sim.Stats{}, fmt.Errorf("fastpath: dst is %d bytes, need %d", len(dst), len(src))
-	}
-	blocks := make([]bits.Block128, len(src)/16)
-	for i := range blocks {
-		blocks[i] = bits.LoadBlock128(src[16*i:])
-	}
-	stats, err := e.EncryptInto(blocks, blocks)
-	if err != nil {
-		return stats, err
-	}
-	for i, blk := range blocks {
-		blk.StoreBlock128(dst[16*i:])
-	}
 	return stats, nil
 }
 

@@ -1,18 +1,22 @@
 package fastpath_test
 
 import (
+	"bytes"
 	"testing"
 
 	"cobra/internal/bits"
+	"cobra/internal/fastpath"
 	"cobra/internal/program"
 )
 
 // FuzzFastpathVsInterpreter feeds fuzzer-chosen keys and plaintext through
 // both engines over a fixed cipher set and requires identical ciphertext
-// and counters. Trace compilation must succeed for every key: the control
-// schedule is key-independent (keys only change eRAM contents), so a key
-// that broke compilation — or diverged — would falsify the steady-state
-// proof. Run via `go test -fuzz=FuzzFastpathVsInterpreter`; CI runs a
+// and counters. The set includes full-unroll streaming pipelines whose
+// batch cap exceeds two tiles, so the fuzzer reaches tile-major execution
+// and its tile boundaries. Trace compilation must succeed for every key:
+// the control schedule is key-independent (keys only change eRAM
+// contents), so a key that broke compilation — or diverged — would
+// falsify the steady-state proof. Run via `go test -fuzz=FuzzFastpathVsInterpreter`; CI runs a
 // short smoke.
 func FuzzFastpathVsInterpreter(f *testing.F) {
 	f.Add(uint8(0), []byte("an-example-key-1"), []byte("attack at dawn!!attack at dusk!!"))
@@ -23,13 +27,16 @@ func FuzzFastpathVsInterpreter(f *testing.F) {
 	f.Add(uint8(5), []byte("simon64/128-key!"), []byte("lik eund mapping"))
 	f.Add(uint8(6), []byte("blowfish-pi-key!"), []byte("feistel+sboxes!!"))
 	f.Add(uint8(7), []byte("8bytekey"), []byte("partial"))
+	f.Add(uint8(8), []byte("full-unroll-aes!"), bytes.Repeat([]byte("0123456789abcdef"), fastpath.TileBlocks+1))
+	f.Add(uint8(9), []byte("serpent-32-round"), bytes.Repeat([]byte("serpent pipeline"), fastpath.TileBlocks))
+	f.Add(uint8(10), []byte("rc6-20 streaming"), bytes.Repeat([]byte("feed-forward rc6"), 2*fastpath.TileBlocks+1))
 	f.Fuzz(func(t *testing.T, sel uint8, keyData, ptData []byte) {
 		key := make([]byte, 16)
 		copy(key, keyData)
 
 		var p *program.Program
 		var err error
-		switch sel % 8 {
+		switch sel % 11 {
 		case 0:
 			p, err = program.BuildRC6(key, 2, 20)
 		case 1:
@@ -44,8 +51,14 @@ func FuzzFastpathVsInterpreter(f *testing.F) {
 			p, err = program.BuildSIMON(key, 4)
 		case 6:
 			p, err = program.BuildBlowfish(key, 1)
-		default:
+		case 7:
 			p, err = program.BuildDES(key[:8])
+		case 8:
+			p, err = program.BuildRijndael(key, 10)
+		case 9:
+			p, err = program.BuildSerpent(key, 32)
+		default:
+			p, err = program.BuildRC6(key, 20, 20)
 		}
 		if err != nil {
 			t.Fatalf("build: %v", err)
@@ -63,10 +76,16 @@ func FuzzFastpathVsInterpreter(f *testing.F) {
 		}
 
 		// Full blocks only; cap the batch so a large fuzz input doesn't
-		// stall the interpreter side.
+		// stall the interpreter side. The full-unroll pipelines (8–10)
+		// get a cap above two tiles so their calls cross tile boundaries;
+		// the rest keep a small cap, as their steady periods never tile.
+		maxBlocks := 8
+		if sel%11 >= 8 {
+			maxBlocks = 2*fastpath.TileBlocks + 1
+		}
 		n := len(ptData) / 16
-		if n > 8 {
-			n = 8
+		if n > maxBlocks {
+			n = maxBlocks
 		}
 		if n == 0 {
 			ptData = append(ptData, make([]byte, 16)...)

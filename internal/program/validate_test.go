@@ -1,10 +1,14 @@
 package program
 
 import (
+	"strings"
 	"testing"
 
+	"cobra/internal/dataflow"
 	"cobra/internal/equiv"
 	"cobra/internal/fastpath"
+	"cobra/internal/sca"
+	"cobra/internal/vet"
 )
 
 // validationKey is the fixed key the validation tests build programs with.
@@ -200,5 +204,64 @@ func TestSeededDefectCorruptedTTable(t *testing.T) {
 	requireRejected(t, res)
 	if res.Mism.Ref == res.Mism.FP {
 		t.Errorf("corrupted-table mismatch renders both sides identically:\n  %s", res.Mism.Ref)
+	}
+}
+
+// TestUnknownStepKindRefused injects a step kind neither checker models
+// into an exported trace: the translation validator must refuse to prove
+// it and the side-channel analyzer must report an error, rather than
+// treating the unknown operation as an identity that adds no taint.
+func TestUnknownStepKindRefused(t *testing.T) {
+	p, err := BuildRC6(validationKey(), 1, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inject := func(tr *fastpath.Trace) bool {
+		for ti := range tr.Period {
+			for r := range tr.Period[ti].Rows {
+				for c := range tr.Period[ti].Rows[r].Cells {
+					cell := &tr.Period[ti].Rows[r].Cells[c]
+					if !cell.Passthrough && !cell.RegOnly && len(cell.Steps) > 0 {
+						cell.Steps = append(cell.Steps, fastpath.TraceStep{Kind: fastpath.StepKind(255)})
+						return true
+					}
+				}
+			}
+		}
+		return false
+	}
+
+	res := validateMutated(t, p, inject)
+	if res.Proven {
+		t.Fatalf("trace with an unknown step kind was proven equivalent:\n%s", res)
+	}
+	if !strings.Contains(res.Reason, "unknown fastpath step kind 255") {
+		t.Errorf("refusal does not name the unknown kind: %q", res.Reason)
+	}
+
+	ex, err := p.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := ex.Trace()
+	if !inject(tr) {
+		t.Fatal("no live cell to inject into")
+	}
+	prof := sca.AnalyzeTrace(tr)
+	if prof.Complete {
+		t.Error("taint walk over an unknown step kind claims a complete profile")
+	}
+	var found bool
+	for _, f := range prof.Findings {
+		if f.Code == "ct-unproven" && f.Sev == vet.Error && strings.Contains(f.Msg, "step kind 255") {
+			found = true
+		}
+	}
+	if !found {
+		t.Errorf("no ct-unproven error naming the unknown step kind; findings %v", prof.Findings)
+	}
+	mc := sca.AnalyzeMicrocode(p.Name, p.Instrs, dataflow.Config{Rows: p.Geometry.Rows, Window: p.Window})
+	if rep := sca.BuildReport(p.Name, mc, prof, ""); !rep.HasErrors() || rep.ConstantTime() {
+		t.Errorf("report over an unknown step kind is clean: %s", rep.Summary())
 	}
 }

@@ -25,7 +25,8 @@
 //     add/rotate/xor (TEA, SIMON, RC5, RC6) prove a fully constant-time
 //     profile instead.
 //   - ct-unproven (Error): the abstract walk did not close (or collected
-//     no output), so no total claim about the schedule can be made.
+//     no output), or a compiled trace holds a step kind the walk does not
+//     model, so no total claim about the schedule can be made.
 //   - ct-profile-mismatch (Error): the microcode profile and the compiled
 //     fastpath trace's profile disagree — a table read present on one side
 //     only, an index taint that differs, or an output word whose taint

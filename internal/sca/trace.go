@@ -1,9 +1,12 @@
 package sca
 
 import (
+	"fmt"
+
 	"cobra/internal/datapath"
 	"cobra/internal/fastpath"
 	"cobra/internal/isa"
+	"cobra/internal/vet"
 )
 
 // tracePassCap bounds the period fixpoint iteration. The taint state is
@@ -68,6 +71,12 @@ func AnalyzeTrace(tr *fastpath.Trace) *Profile {
 		}
 	}
 
+	if w.unknown != "" {
+		// A step the walk has not modelled may move taint anywhere: no
+		// claim about the schedule is total.
+		p.Complete = false
+		p.Findings = append(p.Findings, vet.Finding{Addr: 0, Sev: vet.Error, Code: "ct-unproven", Msg: w.unknown})
+	}
 	p.Accesses = sortedAccesses(acc)
 	return p
 }
@@ -77,6 +86,8 @@ type traceWalker struct {
 	acc map[[3]int]*Access
 	reg [][datapath.Cols]Taint
 	fb  [datapath.Cols]Taint
+	// unknown describes the first step whose kind the walk does not know.
+	unknown string
 }
 
 // fingerprint serializes the inter-cycle taint state (registers plus
@@ -190,7 +201,8 @@ func (w *traceWalker) tick(ct *fastpath.TraceTick, tick int) {
 }
 
 // evalSteps folds one compiled element chain over the taint lattice,
-// recording table-read index taints as it goes.
+// recording table-read index taints as it goes. A step kind it does not
+// know is recorded in w.unknown, which turns the profile into an Error.
 func (w *traceWalker) evalSteps(steps []fastpath.TraceStep, x Taint, vec *[datapath.Cols]Taint, row, col, tick int) Taint {
 	for i := range steps {
 		st := &steps[i]
@@ -203,6 +215,15 @@ func (w *traceWalker) evalSteps(steps []fastpath.TraceStep, x Taint, vec *[datap
 			fastpath.StepAddBlk, fastpath.StepSubBlk, fastpath.StepMulBlk,
 			fastpath.StepShlVar, fastpath.StepShrVar, fastpath.StepRotlVar:
 			x = x.Or(vec[st.Src])
+		case fastpath.StepXorImm, fastpath.StepAndImm, fastpath.StepOrImm,
+			fastpath.StepAddImm, fastpath.StepSubImm, fastpath.StepMulImm,
+			fastpath.StepShlImm, fastpath.StepShrImm, fastpath.StepRotlImm,
+			fastpath.StepSquare:
+			// Constant operands add no taint (ImmER is handled below).
+		default:
+			if w.unknown == "" {
+				w.unknown = fmt.Sprintf("compiled trace r%d.c%d: step kind %d is unknown to the taint walk, so its taint flow is unchecked", row, col, st.Kind)
+			}
 		}
 		if st.ImmER {
 			x.Key = true
