@@ -80,9 +80,9 @@ type Summary struct {
 	Unroll int `json:"unroll"`
 	// Rows is the array geometry in rows.
 	Rows int `json:"rows"`
-	// Stats aggregates the simulator counters of every bulk encryption
-	// since configuration or the last ResetStats, across all workers and
-	// both execution engines.
+	// Stats aggregates the simulator counters of every bulk call, both
+	// directions, since configuration or the last ResetStats, across all
+	// workers and both execution engines.
 	Stats sim.Stats `json:"stats"`
 	// CyclesPerBlock is Stats.Cycles/Stats.BlocksOut (0 before traffic).
 	CyclesPerBlock float64 `json:"cycles_per_block"`

@@ -12,6 +12,17 @@
 // handshake, and Report exposes measured cycles alongside the modeled clock
 // frequency, throughput, and gate count.
 //
+// What a configuration compiles is separate from what a device holds. An
+// Image (Compile) is the compiled configuration: both directions'
+// microcode and their trace-compiled fastpath executors, the decryption
+// half compiled on first use. It is immutable and shared; devices load it
+// (Image.NewDevice, Device.Load) at the cost of a microcode reload, so a
+// pool switching programs pays each compile once, as the paper's host
+// produces microcode once and reloads the iRAM per switch. Configure and
+// Reconfigure are Compile followed by a load. A device runs both
+// directions through one engine dispatch: the fastpath when the image
+// compiled a trace, the cycle-accurate interpreter otherwise.
+//
 // Every mode method takes a context (the unified Cipher surface, see
 // cipher.go) and every Device carries an internal/obs registry: per-mode
 // request/latency series, engine and fallback counters, and the simulator
@@ -94,132 +105,113 @@ type Config struct {
 
 // Device is one COBRA chip with loaded microcode.
 //
-// A Device is not safe for concurrent use: it owns a single sim.Machine
-// (itself single-threaded silicon) and every Encrypt/Decrypt call mutates
-// the machine's queues and counters. Report, Summary and ResetStats ARE
+// A Device is not safe for concurrent use: it owns its machines
+// (single-threaded silicon) and executors, and every Encrypt/Decrypt call
+// mutates their queues and counters. Report, Summary and ResetStats ARE
 // safe to call concurrently with encryption — they read and snapshot
 // atomic registry counters — which is how the farm reports on live
 // workers. To serve a non-feedback workload in parallel, replicate
-// devices — one per goroutine — and shard the data between them;
-// internal/farm packages exactly that pattern.
+// devices — one per goroutine, all loading one Image — and shard the data
+// between them; internal/farm packages exactly that pattern.
 type Device struct {
-	alg     Algorithm
-	prog    *program.Program
-	machine *sim.Machine
-	timing  model.Timing
-	ref     cipher.Block
-	key     []byte
-	met     *deviceMetrics
+	img *Image
+	met *deviceMetrics
+
+	// enc and dec are the two directions' engines (in hardware terms: a
+	// second device, or this one re-loaded between directions). Load
+	// installs the image's encryption half; the decryption half is
+	// installed on the first decryption after a load.
+	enc, dec engine
 
 	// oneBlk is the one-block scratch reused by the chaining modes'
 	// block-at-a-time path (EncryptCBC), and blkBuf the bulk staging
-	// scratch reused by EncryptECBInto/EncryptCTRInto — the CTR hot path
-	// is allocation-free once the buffer has grown to the workload's batch
-	// size (alloc_test.go pins this).
+	// scratch reused by the ECB and CTR paths of both directions — the
+	// bulk hot paths are allocation-free once the buffer has grown to the
+	// workload's batch size (obs_test.go pins this).
 	oneBlk [1]bits.Block128
 	blkBuf []bits.Block128
+}
 
-	// fast is the trace-compiled executor (package fastpath) serving the
-	// bulk encryption paths; nil when compilation was refused (fastErr
-	// records why) or forced off (interpOnly).
-	fast       *fastpath.Exec
-	fastErr    error
-	interpOnly bool
-	validate   bool
-
-	// Decryption datapath, built lazily on first DecryptECB call (in
-	// hardware terms: a second device, or this one re-loaded between
-	// directions).
-	decProg    *program.Program
-	decMachine *sim.Machine
+// engine is one direction of a device: the loaded program, the machine
+// that interprets it, and the device's own clone of the image's compiled
+// trace — nil when compilation was refused or forced off
+// (Config.Interpreter).
+type engine struct {
+	prog    *program.Program
+	machine *sim.Machine
+	fast    *fastpath.Exec
 }
 
 // Configure compiles the algorithm/key pair into microcode, instantiates
 // the matching array geometry, loads the iRAM and runs the configuration
-// phase to the idle point.
+// phase to the idle point: Compile followed by Image.NewDevice.
 func Configure(alg Algorithm, key []byte, cfg Config) (*Device, error) {
-	total, err := alg.TotalRounds()
+	img, err := Compile(alg, key, cfg)
 	if err != nil {
 		return nil, err
 	}
-	unroll := cfg.Unroll
-	if unroll == 0 {
-		unroll = total
-	}
-	var p *program.Program
-	var ref cipher.Block
-	switch alg {
-	case RC6:
-		if p, err = program.BuildRC6(key, unroll, total); err == nil {
-			ref, err = cipher.NewRC6(key)
-		}
-	case Rijndael:
-		if p, err = program.BuildRijndael(key, unroll); err == nil {
-			ref, err = cipher.NewRijndael(key)
-		}
-	case Serpent:
-		if p, err = program.BuildSerpent(key, unroll); err == nil {
-			ref, err = cipher.NewSerpentCOBRA(key)
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	m, err := program.NewMachine(p)
-	if err != nil {
-		return nil, err
-	}
-	met := newDeviceMetrics(alg)
-	if cfg.Trace > 0 {
-		met.reg.EnableTrace(cfg.Trace)
-	}
-	// The machine-level observer feeds the cobra_sim_* family: interpreter
-	// machine activity including the setup/configuration phase. Fastpath
-	// runs never touch the machine, so the device-level
-	// cobra_device_*_total mirrors (fed by encryptInto across both
-	// engines) are the bulk-encryption source of truth.
-	m.Obs = sim.NewObserver(met.reg)
-	d := &Device{alg: alg, prog: p, machine: m, ref: ref,
-		key: append([]byte(nil), key...), interpOnly: cfg.Interpreter,
-		validate: cfg.Validate, met: met}
-	if err := d.load(); err != nil {
-		return nil, err
-	}
-	if cfg.Metrics != nil {
-		cfg.Metrics.Attach(met.reg)
-	}
-	return d, nil
+	return img.NewDevice(cfg)
 }
 
-// load (re)loads the program, refreshes the timing analysis, and
-// (re)compiles the fastpath trace — any previously compiled trace is
-// invalidated, since it encodes the old program's configuration schedule.
-func (d *Device) load() error {
-	if err := program.Load(d.machine, d.prog); err != nil {
+// Load installs a compiled image — the §1 algorithm switch, with the
+// compile already paid. When the image needs a different array geometry
+// the machine is rebuilt (in hardware terms: a differently tiled part);
+// with matching geometry only the microcode reloads. Either way the
+// device keeps its metrics registry (and any parent attachment): exported
+// counters stay monotonic across the switch, the info series flips to the
+// new algorithm, and the Report view resets. Every compiled trace the
+// device held is dropped (counted as an invalidation) and replaced by a
+// clone of the image's; the decryption half follows on first use.
+func (d *Device) Load(img *Image) error {
+	if err := d.install(&d.enc, img.enc); err != nil {
 		return err
 	}
-	d.timing = model.Analyze(d.machine.Array, model.DefaultDelays())
-	if d.fast != nil {
+	if d.dec.fast != nil {
 		d.met.invalidations.Inc()
 	}
-	d.fast, d.fastErr = nil, nil
+	d.dec.prog, d.dec.fast = nil, nil
+	d.img = img
+	d.met.setAlg(img.alg)
+	elided := 0
+	if d.enc.fast != nil {
+		elided = d.enc.fast.Elided()
+	}
+	d.met.elided.Set(int64(elided))
 	d.met.resetStats()
-	if !d.interpOnly {
-		d.fast, d.fastErr = d.prog.Compile()
-		if d.fast != nil && d.validate {
-			// The opt-in translation-validation gate: an unproven trace is
-			// never installed. The device still works — every encryption
-			// routes through the interpreter — and FastpathErr carries the
-			// validator's verdict (divergence witness included).
-			if res := d.prog.ValidateExec(d.fast); !res.Proven {
-				d.fast, d.fastErr = nil, res.Err()
-			}
+	return nil
+}
+
+// install loads one image half into an engine: the program onto the
+// engine's machine (rebuilt only for a new geometry or window), and a
+// clone of the compiled trace. The first device to install a half counts
+// its compile.
+func (d *Device) install(e *engine, h *half) error {
+	p := h.prog
+	if e.machine == nil || e.machine.Array.Geometry() != p.Geometry || e.machine.Window != p.Window {
+		m, err := program.NewMachine(p)
+		if err != nil {
+			return err
 		}
-		if d.fast != nil {
-			d.met.noteCompile(true, d.fast.Elided())
-		} else {
-			d.met.noteCompile(false, 0)
-		}
+		// The machine-level observer feeds the cobra_sim_* family:
+		// interpreter activity including the setup/configuration phase,
+		// both directions. Fastpath runs never touch the machine, so the
+		// device-level cobra_device_*_total mirrors (fed by run across
+		// both engines) are the source of truth for bulk calls.
+		m.Obs = sim.NewObserver(d.met.reg)
+		e.machine = m
+	}
+	if err := program.Load(e.machine, p); err != nil {
+		return err
+	}
+	if e.fast != nil {
+		d.met.invalidations.Inc()
+	}
+	e.prog, e.fast = p, nil
+	if h.fast != nil {
+		e.fast = h.fast.Clone()
+	}
+	if (h.fast != nil || h.fastErr != nil) && h.counted.CompareAndSwap(false, true) {
+		d.met.noteCompile(h.fast != nil)
 	}
 	return nil
 }
@@ -230,38 +222,39 @@ func (d *Device) Obs() *obs.Registry { return d.met.reg }
 
 // UsesFastpath reports whether bulk encryption runs on the trace-compiled
 // executor rather than the cycle-accurate interpreter.
-func (d *Device) UsesFastpath() bool { return d.fast != nil }
+func (d *Device) UsesFastpath() bool { return d.enc.fast != nil }
 
 // FastpathErr returns why trace compilation was refused (nil when the
 // fastpath is active or was forced off by Config.Interpreter).
-func (d *Device) FastpathErr() error { return d.fastErr }
+func (d *Device) FastpathErr() error { return d.img.enc.fastErr }
 
-// encryptInto routes a bulk block batch through the fastpath executor when
-// one is compiled, falling back to the interpreter otherwise. A machine
-// that has interpreted since its last load owns the in-flight stats chain,
-// so such a device stays on the interpreter. The context is checked once
-// per batch — a simulated batch is the unit of work a caller can abandon.
-func (d *Device) encryptInto(ctx context.Context, dst, blocks []bits.Block128) (sim.Stats, error) {
+// run is the engine dispatch of both directions: it routes a bulk block
+// batch through the engine's compiled executor when it has one, falling
+// back to the interpreter otherwise. A machine that has interpreted since
+// its last load owns the in-flight stats chain, so such an engine stays on
+// the interpreter. The context is checked once per batch — a simulated
+// batch is the unit of work a caller can abandon.
+func (d *Device) run(ctx context.Context, e *engine, dst, blocks []bits.Block128) (sim.Stats, error) {
 	if err := ctx.Err(); err != nil {
 		return sim.Stats{}, err
 	}
 	var st sim.Stats
 	var err error
-	if d.fast != nil && !d.machine.Dirty() {
-		st, err = d.fast.EncryptInto(dst, blocks)
+	if e.fast != nil && !e.machine.Dirty() {
+		st, err = e.fast.EncryptInto(dst, blocks)
 		if err == nil {
 			d.met.fastBlocks.Add(int64(len(blocks)))
 		}
 	} else {
 		switch {
-		case d.interpOnly:
+		case d.img.interp:
 			d.met.fbForced.Inc()
-		case d.fast == nil:
+		case e.fast == nil:
 			d.met.fbRefused.Inc()
 		default:
 			d.met.fbDirty.Inc()
 		}
-		st, err = program.Run(d.machine, d.prog, dst, blocks, program.Opts{})
+		st, err = program.Run(e.machine, e.prog, dst, blocks, program.Opts{})
 		if err == nil {
 			d.met.interpBlocks.Add(int64(len(blocks)))
 		}
@@ -283,65 +276,25 @@ func (d *Device) scratch(n int) []bits.Block128 {
 	return d.blkBuf[:n]
 }
 
-// Reconfigure switches the device to a new algorithm/key — the §1
-// algorithm-agility scenario. When the new configuration needs a different
-// array geometry the device is rebuilt (in hardware terms: a differently
-// tiled part); with matching geometry only the microcode reloads. Either
-// way the device keeps its metrics registry (and any parent attachment):
-// exported counters stay monotonic across the switch, the info series
-// flips to the new algorithm, and the Report view resets.
+// Reconfigure switches the device to a new algorithm/key: Compile
+// followed by Load. cfg.Metrics and cfg.Trace are ignored — the device
+// keeps its registry and attachment.
 func (d *Device) Reconfigure(alg Algorithm, key []byte, cfg Config) error {
-	ncfg := cfg
-	ncfg.Metrics, ncfg.Trace = nil, 0
-	nd, err := Configure(alg, key, ncfg)
+	img, err := Compile(alg, key, cfg)
 	if err != nil {
 		return err
 	}
-	met := d.met
-	if d.fast != nil {
-		met.invalidations.Inc()
-	}
-	met.setAlg(alg)
-	if !nd.interpOnly {
-		if nd.fast != nil {
-			met.noteCompile(true, nd.fast.Elided())
-		} else {
-			met.noteCompile(false, 0)
-		}
-	}
-	met.resetStats()
-	if nd.prog.Geometry == d.prog.Geometry {
-		// Same silicon: reload microcode on the existing machine. The
-		// decryption datapath is dropped and rebuilt lazily for the new
-		// algorithm/key, and the compiled trace is replaced by the new
-		// configuration's (nd already compiled it — no second recording).
-		d.alg, d.prog, d.ref, d.key = nd.alg, nd.prog, nd.ref, nd.key
-		d.decProg, d.decMachine = nil, nil
-		d.interpOnly, d.validate = nd.interpOnly, nd.validate
-		if err := program.Load(d.machine, d.prog); err != nil {
-			return err
-		}
-		d.timing = nd.timing
-		d.fast, d.fastErr = nd.fast, nd.fastErr
-		return nil
-	}
-	// New silicon: adopt the rebuilt device but keep the device-lifetime
-	// registry; the new machine's observer rebinds to it (counter lookups
-	// are get-or-create by name, so the same series keep counting).
-	nd.met = met
-	nd.machine.Obs = sim.NewObserver(met.reg)
-	*d = *nd
-	return nil
+	return d.Load(img)
 }
 
 // Algorithm returns the configured algorithm.
-func (d *Device) Algorithm() Algorithm { return d.alg }
+func (d *Device) Algorithm() Algorithm { return d.img.alg }
 
 // Unroll returns the configured unroll depth.
-func (d *Device) Unroll() int { return d.prog.HWRounds }
+func (d *Device) Unroll() int { return d.enc.prog.HWRounds }
 
 // Geometry returns the array geometry in rows.
-func (d *Device) Geometry() datapath.Geometry { return d.prog.Geometry }
+func (d *Device) Geometry() datapath.Geometry { return d.enc.prog.Geometry }
 
 // BlockSize returns the cipher block size in bytes (16 for every §4
 // algorithm).
@@ -364,7 +317,7 @@ func (d *Device) EncryptBlocks(ctx context.Context, blocks []bits.Block128) ([]b
 		return nil, nil
 	}
 	out := make([]bits.Block128, len(blocks))
-	if _, err := d.encryptInto(ctx, out, blocks); err != nil {
+	if _, err := d.run(ctx, &d.enc, out, blocks); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -377,13 +330,15 @@ func (d *Device) EncryptBlocks(ctx context.Context, blocks []bits.Block128) ([]b
 func (d *Device) EncryptECBInto(ctx context.Context, dst, src []byte) (sim.Stats, error) {
 	d.met.calls[opECB].Inc()
 	sp := d.met.lat[opECB].Start()
-	st, err := d.encryptECBInto(ctx, dst, src)
+	st, err := d.ecbInto(ctx, &d.enc, dst, src)
 	sp.End()
 	d.met.finish(opECB, len(src), err)
 	return st, err
 }
 
-func (d *Device) encryptECBInto(ctx context.Context, dst, src []byte) (sim.Stats, error) {
+// ecbInto runs src block by block through one direction's engine. The
+// decryption engine is installed here on its first use after a load.
+func (d *Device) ecbInto(ctx context.Context, e *engine, dst, src []byte) (sim.Stats, error) {
 	if len(src)%16 != 0 {
 		return sim.Stats{}, fmt.Errorf("core: input length %d is not a multiple of the block size", len(src))
 	}
@@ -393,11 +348,20 @@ func (d *Device) encryptECBInto(ctx context.Context, dst, src []byte) (sim.Stats
 	if len(src) == 0 {
 		return sim.Stats{}, ctx.Err()
 	}
+	if e.prog == nil {
+		h, err := d.img.decrypt()
+		if err != nil {
+			return sim.Stats{}, err
+		}
+		if err := d.install(e, h); err != nil {
+			return sim.Stats{}, err
+		}
+	}
 	blocks := d.scratch(len(src) / 16)
 	for i := range blocks {
 		blocks[i] = bits.LoadBlock128(src[16*i:])
 	}
-	stats, err := d.encryptInto(ctx, blocks, blocks)
+	stats, err := d.run(ctx, e, blocks, blocks)
 	if err != nil {
 		return stats, err
 	}
@@ -412,7 +376,7 @@ func (d *Device) encryptECBInto(ctx context.Context, dst, src []byte) (sim.Stats
 // slice allocations.
 func (d *Device) encryptBlockInPlace(ctx context.Context, b *[16]byte) error {
 	d.oneBlk[0] = bits.LoadBlock128(b[:])
-	if _, err := d.encryptInto(ctx, d.oneBlk[:], d.oneBlk[:]); err != nil {
+	if _, err := d.run(ctx, &d.enc, d.oneBlk[:], d.oneBlk[:]); err != nil {
 		return err
 	}
 	d.oneBlk[0].StoreBlock128(b[:])
@@ -557,7 +521,7 @@ func (d *Device) encryptCTRInto(ctx context.Context, dst, iv, src []byte) (sim.S
 		ctrs[i] = bits.LoadBlock128(c[:])
 		incCounter(&c)
 	}
-	stats, err := d.encryptInto(ctx, ctrs, ctrs)
+	stats, err := d.run(ctx, &d.enc, ctrs, ctrs)
 	if err != nil {
 		return sim.Stats{}, err
 	}
@@ -605,7 +569,7 @@ func (d *Device) decryptCBCInto(ctx context.Context, dst, iv, src []byte) (sim.S
 	if len(iv) != 16 {
 		return sim.Stats{}, fmt.Errorf("core: iv must be 16 bytes")
 	}
-	st, err := d.decryptECBInto(ctx, dst, src)
+	st, err := d.ecbInto(ctx, &d.dec, dst, src)
 	if err != nil {
 		return st, err
 	}
@@ -619,13 +583,12 @@ func (d *Device) decryptCBCInto(ctx context.Context, dst, iv, src []byte) (sim.S
 	return st, nil
 }
 
-// DecryptECB decrypts src on the datapath. The paper's evaluation maps
-// only encryption; the decryption microcode here (internal/program's
-// decrypt builders) shows the architecture carries the inverse ciphers
-// with the same structures — RC6 via SUB + negated-amount rotates,
-// Rijndael via the FIPS-197 equivalent inverse cipher, Serpent via the
-// inverse LT rows. The decryption program is compiled and loaded lazily on
-// first use.
+// DecryptECB decrypts src on the datapath's decryption engine: the
+// image's decryption half (compiled once per image, on its first use by
+// any device) loaded on the device's first decryption since its last
+// load. It runs on the fastpath under the same dirty-machine rule as
+// encryption, and is counted in the same engine, fallback and Summary
+// series.
 func (d *Device) DecryptECB(ctx context.Context, src []byte) ([]byte, error) {
 	dst := make([]byte, len(src))
 	if _, err := d.DecryptECBInto(ctx, dst, src); err != nil {
@@ -640,62 +603,10 @@ func (d *Device) DecryptECB(ctx context.Context, src []byte) ([]byte, error) {
 func (d *Device) DecryptECBInto(ctx context.Context, dst, src []byte) (sim.Stats, error) {
 	d.met.calls[opDecECB].Inc()
 	sp := d.met.lat[opDecECB].Start()
-	st, err := d.decryptECBInto(ctx, dst, src)
+	st, err := d.ecbInto(ctx, &d.dec, dst, src)
 	sp.End()
 	d.met.finish(opDecECB, len(src), err)
 	return st, err
-}
-
-func (d *Device) decryptECBInto(ctx context.Context, dst, src []byte) (sim.Stats, error) {
-	if err := ctx.Err(); err != nil {
-		return sim.Stats{}, err
-	}
-	if len(src)%16 != 0 {
-		return sim.Stats{}, fmt.Errorf("core: input length %d is not a multiple of the block size", len(src))
-	}
-	if len(dst) < len(src) {
-		return sim.Stats{}, fmt.Errorf("core: dst is %d bytes, need %d", len(dst), len(src))
-	}
-	if d.decMachine == nil {
-		if err := d.buildDecryptor(); err != nil {
-			return sim.Stats{}, err
-		}
-	}
-	return program.RunBytes(d.decMachine, d.decProg, dst[:len(src)], src, program.Opts{})
-}
-
-// buildDecryptor compiles and loads the decryption datapath. Its machine
-// shares the device registry's observer, so the cobra_sim_* family covers
-// both directions.
-func (d *Device) buildDecryptor() error {
-	var p *program.Program
-	var err error
-	key := d.key
-	switch d.alg {
-	case RC6:
-		p, err = program.BuildRC6Decrypt(key, d.prog.HWRounds, d.prog.TotalRounds)
-	case Rijndael:
-		p, err = program.BuildRijndaelDecrypt(key, d.prog.HWRounds)
-	case Serpent:
-		// The decryption mapping is evaluated at the paper's base
-		// granularity (one round per pass).
-		p, err = program.BuildSerpentDecrypt(key)
-	default:
-		err = fmt.Errorf("core: no decryption mapping for %q", d.alg)
-	}
-	if err != nil {
-		return err
-	}
-	m, err := program.NewMachine(p)
-	if err != nil {
-		return err
-	}
-	m.Obs = sim.NewObserver(d.met.reg)
-	if err := program.Load(m, p); err != nil {
-		return err
-	}
-	d.decProg, d.decMachine = p, m
-	return nil
 }
 
 // DecryptECBHost decrypts with the host-side reference implementation
@@ -707,7 +618,7 @@ func (d *Device) DecryptECBHost(src []byte) ([]byte, error) {
 	}
 	dst := make([]byte, len(src))
 	for i := 0; i < len(src); i += 16 {
-		d.ref.Decrypt(dst[i:], src[i:])
+		d.img.ref.Decrypt(dst[i:], src[i:])
 	}
 	return dst, nil
 }
@@ -729,9 +640,10 @@ type Report struct {
 
 // Report returns the accumulated performance counters combined with the
 // timing and area models — the quantities Tables 3, 5 and 6 report. The
-// counters sum every bulk encryption since configuration (or ResetStats)
-// across both engines: interpreter runs and fastpath runs (which report
-// the cycles the interpreter would have spent) accumulate identically.
+// counters sum every bulk call of either direction since the last load
+// (or ResetStats) across both engines: interpreter runs and fastpath runs
+// (which report the cycles the interpreter would have spent) accumulate
+// identically.
 // The view is derived from the device's obs registry, so Report agrees
 // with a concurrent /metrics scrape by construction.
 func (d *Device) Report() Report {
@@ -742,19 +654,19 @@ func (d *Device) Report() Report {
 	}
 	return Report{
 		Summary: Summary{
-			Algorithm:      d.alg,
+			Algorithm:      d.img.alg,
 			Backend:        "device",
 			Workers:        1,
-			Unroll:         d.prog.HWRounds,
-			Rows:           d.prog.Geometry.Rows,
+			Unroll:         d.enc.prog.HWRounds,
+			Rows:           d.enc.prog.Geometry.Rows,
 			Stats:          st,
 			CyclesPerBlock: cpb,
-			DatapathMHz:    d.timing.DatapathMHz,
-			ThroughputMbps: d.timing.ThroughputMbps(cpb),
+			DatapathMHz:    d.img.timing.DatapathMHz,
+			ThroughputMbps: d.img.timing.ThroughputMbps(cpb),
 		},
-		Streaming: d.prog.Streaming,
-		IRAMMHz:   d.timing.IRAMMHz,
-		Gates:     model.Table5(model.Table4(), d.prog.Geometry).Total(),
+		Streaming: d.enc.prog.Streaming,
+		IRAMMHz:   d.img.timing.IRAMMHz,
+		Gates:     model.Table5(model.Table4(), d.enc.prog.Geometry).Total(),
 	}
 }
 
@@ -769,7 +681,7 @@ func (d *Device) Summary() Summary { return d.Report().Summary }
 func (d *Device) ResetStats() { d.met.resetStats() }
 
 // Describe renders the configured architecture topology (figure 1 style).
-func (d *Device) Describe() string { return d.machine.Array.Describe() }
+func (d *Device) Describe() string { return d.enc.machine.Array.Describe() }
 
 // Microcode returns the loaded program size in 80-bit instruction words.
-func (d *Device) Microcode() int { return len(d.prog.Instrs) }
+func (d *Device) Microcode() int { return len(d.enc.prog.Instrs) }

@@ -49,7 +49,7 @@ var statMetricNames = [statCount]string{
 }
 
 var statMetricHelp = [statCount]string{
-	"Datapath cycles simulated by bulk encryption, both engines.",
+	"Datapath cycles simulated by bulk calls, both directions and both engines.",
 	"Datapath cycles that advanced the sequencer.",
 	"Datapath cycles stalled on the READY/GO handshake.",
 	"Microcode instructions executed (or accounted by the fastpath).",
@@ -101,7 +101,7 @@ type deviceMetrics struct {
 	info map[Algorithm]*obs.Gauge
 }
 
-func newDeviceMetrics(alg Algorithm) *deviceMetrics {
+func newDeviceMetrics() *deviceMetrics {
 	reg := obs.NewRegistry()
 	m := &deviceMetrics{reg: reg, info: make(map[Algorithm]*obs.Gauge)}
 	for md := opMode(0); md < opModeCount; md++ {
@@ -123,9 +123,9 @@ func newDeviceMetrics(alg Algorithm) *deviceMetrics {
 	m.fbForced = reg.Counter("cobra_device_fastpath_fallbacks_total",
 		"Bulk calls routed to the interpreter, by reason.", obs.L("reason", "forced_interpreter"))
 	m.compiles = reg.Counter("cobra_device_fastpath_compiles_total",
-		"Successful trace compilations.")
+		"Successful trace compilations, each counted by the first device to install it.")
 	m.compileErrs = reg.Counter("cobra_device_fastpath_compile_errors_total",
-		"Refused trace compilations (program not provably steady-state).")
+		"Refused trace compilations (not provably steady-state, or unproven), each counted once.")
 	m.invalidations = reg.Counter("cobra_device_fastpath_invalidations_total",
 		"Compiled traces dropped by a microcode reload.")
 	m.elided = reg.Gauge("cobra_device_fastpath_elided_ops",
@@ -133,7 +133,6 @@ func newDeviceMetrics(alg Algorithm) *deviceMetrics {
 	for i := 0; i < statCount; i++ {
 		m.st[i] = reg.Counter(statMetricNames[i], statMetricHelp[i])
 	}
-	m.setAlg(alg)
 	return m
 }
 
@@ -154,14 +153,12 @@ func (m *deviceMetrics) setAlg(alg Algorithm) {
 }
 
 // noteCompile records one trace-compilation attempt.
-func (m *deviceMetrics) noteCompile(ok bool, elided int) {
+func (m *deviceMetrics) noteCompile(ok bool) {
 	if ok {
 		m.compiles.Inc()
-		m.elided.Set(int64(elided))
 		return
 	}
 	m.compileErrs.Inc()
-	m.elided.Set(0)
 }
 
 // addStats folds one bulk call's simulator delta into the device counters.

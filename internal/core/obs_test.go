@@ -201,7 +201,8 @@ func TestReconfigureKeepsRegistry(t *testing.T) {
 // staging, encryption, keystream XOR, and all instrumentation — performs
 // no heap allocations (testing.AllocsPerRun runs one warm-up call, which
 // grows the device scratch). The full-unroll pipelines run tile-major, so
-// the 64-block call crosses tile boundaries.
+// the 64-block call crosses tile boundaries. The ECB and CBC decryption
+// paths share the dispatch and the scratch, and are held to the same gate.
 func TestEncryptCTRIntoAllocFree(t *testing.T) {
 	for _, alg := range []Algorithm{Rijndael, Serpent, RC6} {
 		d, err := Configure(alg, key, Config{})
@@ -221,6 +222,23 @@ func TestEncryptCTRIntoAllocFree(t *testing.T) {
 			}
 		}); allocs != 0 {
 			t.Errorf("%s: EncryptCTRInto: %.1f allocs/op, want 0", alg, allocs)
+		}
+		if allocs := testing.AllocsPerRun(50, func() {
+			if _, err := d.DecryptECBInto(ctx, dst, src); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: DecryptECBInto: %.1f allocs/op, want 0", alg, allocs)
+		}
+		if allocs := testing.AllocsPerRun(50, func() {
+			if _, err := d.DecryptCBCInto(ctx, dst, iv, src); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: DecryptCBCInto: %.1f allocs/op, want 0", alg, allocs)
+		}
+		if got := counterValue(t, d.Obs(), "cobra_device_engine_blocks_total", obs.L("engine", "interpreter")); got != 0 {
+			t.Errorf("%s: %d blocks ran on the interpreter", alg, got)
 		}
 	}
 }

@@ -34,7 +34,7 @@ func TestValidateGateKeepsFastpath(t *testing.T) {
 	if err := d.Reconfigure(Serpent, key, Config{Unroll: 1, Validate: true}); err != nil {
 		t.Fatal(err)
 	}
-	if !d.validate {
+	if !d.img.validate {
 		t.Error("Reconfigure dropped the validation gate")
 	}
 	if !d.UsesFastpath() {
@@ -49,7 +49,7 @@ func TestValidateGateOffByDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.validate {
+	if d.img.validate {
 		t.Error("validation gate enabled by the zero Config")
 	}
 	if !d.UsesFastpath() {

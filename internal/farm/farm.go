@@ -36,7 +36,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
 	"sync"
 
 	"cobra/internal/core"
@@ -122,15 +121,11 @@ type Farm struct {
 	pool     *Pool
 	ownsPool bool
 
-	alg  core.Algorithm
-	key  []byte
-	wcfg core.Config // per-worker device config (no Metrics/Trace)
-	pk   progKey
-
-	mhz      float64
-	unroll   int
-	rows     int
-	fastpath bool
+	// img is the tenant's compiled configuration: workers load it on a
+	// cold configure and on every switch to this tenant, and never
+	// compile. It lives as long as the tenant.
+	img *core.Image
+	pk  progKey
 
 	reg *obs.Registry
 	met *farmMetrics
@@ -169,87 +164,56 @@ func Open(alg core.Algorithm, key []byte, opts Options) (*Farm, error) {
 	return f, nil
 }
 
-// New configures a pool of workers identical devices for the
-// algorithm/key pair.
-//
-// Deprecated: use Open with an Options struct (or NewPool + Pool.Open
-// for a multi-tenant pool). New survives as a shim over Open and keeps
-// its historical validation; cobra-lint's farmnew analyzer flags new
-// callers.
-func New(alg core.Algorithm, key []byte, cfg core.Config, workers int) (*Farm, error) {
-	if workers < 1 {
-		return nil, fmt.Errorf("farm: need at least 1 worker, got %d", workers)
-	}
-	return Open(alg, key, Options{Workers: workers, Config: cfg})
-}
-
 // Open opens a tenant on the pool: a Farm for one algorithm/key/config
 // triple whose shards the scheduler batches onto program-affine workers.
 // cfg's Metrics and Trace fields are ignored (those are pool-level
 // options); Unroll, Interpreter, and Validate configure the tenant's
-// devices. The key and config are validated eagerly by configuring a
-// probe device, which is donated to an idle worker when one is free to
-// take it (warming the tenant's first placement).
+// devices. Open compiles the tenant's image (core.Compile), which
+// validates the key and config eagerly, and pre-binds an idle unbound
+// worker to the tenant when one is free, so its first shards land there.
 //
 // Closing a tenant Farm does not close a shared pool; closing the pool
 // invalidates its tenants.
 func (p *Pool) Open(alg core.Algorithm, key []byte, cfg core.Config) (*Farm, error) {
-	wcfg := cfg
-	wcfg.Metrics, wcfg.Trace = nil, 0
-	probe, err := core.Configure(alg, key, wcfg)
+	img, err := core.Compile(alg, key, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("farm: configuring device: %w", err)
 	}
 	f := &Farm{
 		pool: p,
-		alg:  alg,
-		key:  append([]byte(nil), key...),
-		wcfg: wcfg,
+		img:  img,
 		pk: progKey{
 			alg:      alg,
-			unroll:   wcfg.Unroll,
+			unroll:   cfg.Unroll,
 			key:      string(key),
-			interp:   wcfg.Interpreter,
-			validate: wcfg.Validate,
+			interp:   cfg.Interpreter,
+			validate: cfg.Validate,
 		},
-		fastpath: probe.UsesFastpath(),
-		slots:    make([]tenantSlot, len(p.workers)),
+		slots: make([]tenantSlot, len(p.workers)),
 	}
-	r := probe.Report()
-	f.mhz, f.unroll, f.rows = r.DatapathMHz, r.Unroll, r.Rows
 	f.reg = obs.NewRegistry()
 	f.met = newFarmMetrics(f.reg)
 
-	// Donate the probe to an idle device-less worker and pre-bind it, so
-	// the tenant's first shards land on an already-configured device.
 	p.closeMu.RLock()
 	defer p.closeMu.RUnlock()
 	if p.closed {
 		return nil, ErrClosed
 	}
-	var gifted *worker
 	p.mu.Lock()
 	for _, w := range p.workers {
-		// Check running first: w.dev may only be read once the worker is
-		// seen idle under mu (a running worker writes dev unlocked in
-		// ensure; running=false is published under mu after that write).
-		if !w.running && len(w.q) == 0 && !w.boundSet && w.dev == nil {
-			w.dev = probe
-			w.loaded, w.loadedSet = f.pk, true
+		// A worker is unbound until its first placement: it has never
+		// run a job or configured a device.
+		if !w.boundSet {
 			w.bound, w.boundSet = f.pk, true
-			gifted = w
 			break
 		}
 	}
 	p.mu.Unlock()
-	if gifted != nil {
-		p.reg.Attach(probe.Obs(), obs.L("worker", strconv.Itoa(gifted.idx)))
-	}
 	return f, nil
 }
 
 // Algorithm returns the configured algorithm.
-func (f *Farm) Algorithm() core.Algorithm { return f.alg }
+func (f *Farm) Algorithm() core.Algorithm { return f.img.Algorithm() }
 
 // BlockSize returns the cipher block size in bytes.
 func (f *Farm) BlockSize() int { return 16 }
@@ -260,8 +224,8 @@ func (f *Farm) Workers() int { return f.pool.Workers() }
 // Pool returns the worker pool this tenant dispatches to.
 func (f *Farm) Pool() *Pool { return f.pool }
 
-// Obs returns the farm's metrics registry. For a pool-owning Farm (Open
-// or New) this is the pool registry — scheduler series, worker device
+// Obs returns the farm's metrics registry. For a pool-owning Farm (Open)
+// this is the pool registry — scheduler series, worker device
 // subtrees, and the tenant's request counters all in one tree, exactly
 // the shape the pre-scheduler farm exported. For a tenant on a shared
 // pool it is the tenant's own registry (per-mode request/error
@@ -281,9 +245,9 @@ func (f *Farm) QueueDepth() int { return f.pool.QueueDepth() }
 func (f *Farm) QueueCapacity() int { return f.pool.QueueCapacity() }
 
 // UsesFastpath reports whether this tenant's program serves bulk
-// encryption on the trace-compiled executor (probed at Open; the
-// workers are replicas, so one answer covers the pool).
-func (f *Farm) UsesFastpath() bool { return f.fastpath }
+// encryption on the trace-compiled executor (compiled at Open; every
+// worker loads the same image, so one answer covers the pool).
+func (f *Farm) UsesFastpath() bool { return f.img.UsesFastpath() }
 
 // account records one finished job's contribution to this tenant's
 // report. Called from worker goroutines.
@@ -516,7 +480,7 @@ func (f *Farm) DecryptCBC(ctx context.Context, iv, src []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// Close invalidates the tenant; for a pool-owning Farm (Open/New) it
+// Close invalidates the tenant; for a pool-owning Farm (Open) it
 // also drains and stops the workers and detaches the registry from its
 // Metrics parent. Calls already dispatching finish normally; calls made
 // after Close return ErrClosed. Idempotent.
@@ -561,13 +525,14 @@ type Report struct {
 // run returns (not read back from devices, which a shared pool
 // reconfigures between tenants).
 func (f *Farm) Report() Report {
+	mhz := f.img.DatapathMHz()
 	r := Report{Summary: core.Summary{
-		Algorithm:   f.alg,
+		Algorithm:   f.img.Algorithm(),
 		Backend:     "farm",
 		Workers:     f.pool.Workers(),
-		Unroll:      f.unroll,
-		Rows:        f.rows,
-		DatapathMHz: f.mhz,
+		Unroll:      f.img.Unroll(),
+		Rows:        f.img.Geometry().Rows,
+		DatapathMHz: mhz,
 	}}
 	for i := range f.slots {
 		s := &f.slots[i]
@@ -588,7 +553,7 @@ func (f *Farm) Report() Report {
 		r.CyclesPerBlock = float64(r.Stats.Cycles) / float64(r.Stats.BlocksOut)
 	}
 	if r.WallCycles > 0 {
-		r.EffectiveMbps = float64(r.Stats.BlocksOut) * 128 * f.mhz / float64(r.WallCycles)
+		r.EffectiveMbps = float64(r.Stats.BlocksOut) * 128 * mhz / float64(r.WallCycles)
 	}
 	r.ThroughputMbps = r.EffectiveMbps
 	return r

@@ -33,7 +33,7 @@ func TestFarmFastpathDevicesUnderRace(t *testing.T) {
 	if !probe.UsesFastpath() {
 		t.Fatalf("farm worker config does not compile a trace: %v", probe.FastpathErr())
 	}
-	f, err := New(core.RC6, key, core.Config{Unroll: 2}, 3)
+	f, err := Open(core.RC6, key, Options{Workers: 3, Config: core.Config{Unroll: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,12 +90,12 @@ func TestFarmFastpathDevicesUnderRace(t *testing.T) {
 // worker pair sees the same call sequence and the per-call stats
 // equivalence proven in internal/fastpath must survive aggregation.
 func TestFarmFastpathMatchesInterpreterFarm(t *testing.T) {
-	fast, err := New(core.Rijndael, key, core.Config{Unroll: 2}, 3)
+	fast, err := Open(core.Rijndael, key, Options{Workers: 3, Config: core.Config{Unroll: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fast.Close()
-	interp, err := New(core.Rijndael, key, core.Config{Unroll: 2, Interpreter: true}, 3)
+	interp, err := Open(core.Rijndael, key, Options{Workers: 3, Config: core.Config{Unroll: 2, Interpreter: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,5 +135,101 @@ func TestFarmFastpathMatchesInterpreterFarm(t *testing.T) {
 	}
 	if fr.Stats.BlocksOut == 0 {
 		t.Fatal("no blocks recorded")
+	}
+}
+
+// TestFarmDecryptStatsMatchDevice gives a device and a one-worker farm
+// the same encrypt and ECB/CBC decrypt calls: the worker runs exactly the
+// device's call sequence, so both must report the same Summary.Stats —
+// decryption counted on the device as it is on a farm tenant.
+func TestFarmDecryptStatsMatchDevice(t *testing.T) {
+	for _, alg := range []core.Algorithm{core.Rijndael, core.RC6} {
+		d, err := core.Configure(alg, key, core.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := Open(alg, key, Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		iv := bytes.Repeat([]byte{0x3a}, 16)
+		for _, c := range []core.Cipher{d, f} {
+			for _, n := range []int{1, 40, 3} {
+				msg := testMessage(16 * n)
+				ct, err := c.EncryptECB(ctx, msg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if pt, err := c.DecryptECB(ctx, ct); err != nil || !bytes.Equal(pt, msg) {
+					t.Fatalf("%s ECB round trip: %v", alg, err)
+				}
+				ct, err = c.EncryptCBC(ctx, iv, msg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if pt, err := c.DecryptCBC(ctx, iv, ct); err != nil || !bytes.Equal(pt, msg) {
+					t.Fatalf("%s CBC round trip: %v", alg, err)
+				}
+			}
+		}
+		if ds, fs := d.Summary().Stats, f.Summary().Stats; ds != fs {
+			t.Errorf("%s: device stats %+v != farm stats %+v", alg, ds, fs)
+		}
+		f.Close()
+	}
+}
+
+// TestPoolCompilesOncePerImage alternates two tenants, each encrypting
+// and decrypting, on a one-worker pool. Every turn after the first
+// switches the worker's program (a reconfiguration), but the worker only
+// loads the tenant's image: summed over the pool, the compile series
+// counts each (program, key, direction) once, and each switch drops both
+// directions' traces as invalidations.
+func TestPoolCompilesOncePerImage(t *testing.T) {
+	p, err := NewPool(Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	a, err := p.Open(core.Rijndael, key, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := p.Open(core.RC6, bytes.Repeat([]byte{0x5A}, 16), core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	iv := make([]byte, 16)
+	msg := testMessage(16 * 4)
+	const turns = 40
+	for i := 0; i < turns; i++ {
+		tn := []*Farm{a, b}[i%2]
+		ct, err := tn.EncryptCBC(ctx, iv, msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pt, err := tn.DecryptCBC(ctx, iv, ct); err != nil || !bytes.Equal(pt, msg) {
+			t.Fatalf("turn %d: CBC round trip: %v", i, err)
+		}
+	}
+	sum := func(name string) int64 {
+		n := int64(0)
+		for _, s := range p.Obs().Gather() {
+			if s.Name == name {
+				n += s.Value
+			}
+		}
+		return n
+	}
+	if got := p.SchedStats().Reconfigures; got != turns-1 {
+		t.Errorf("Reconfigures = %d, want %d (every switch)", got, turns-1)
+	}
+	if got := sum("cobra_device_fastpath_compiles_total"); got != 4 {
+		t.Errorf("compiles summed over the pool = %d, want 4 (2 programs x 2 directions)", got)
+	}
+	if got := sum("cobra_device_fastpath_invalidations_total"); got != 2*(turns-1) {
+		t.Errorf("invalidations summed over the pool = %d, want %d", got, 2*(turns-1))
 	}
 }

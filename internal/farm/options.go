@@ -49,10 +49,12 @@ type Options struct {
 	// it (it reactivates on demand at placement time). Default 250ms;
 	// negative disables quiescing.
 	IdleQuiesce time.Duration
-	// StealBacklog is the minimum queue depth of a victim worker before
-	// an idle worker performs a cross-program steal — a steal that costs
-	// the thief a reconfiguration, so it only pays off against a real
-	// backlog. Same-program steals have no threshold. Default 2.
+	// StealBacklog is the minimum queue depth of a victim worker, and of
+	// every other worker bound to the stolen job's program, before an
+	// idle worker performs a cross-program steal — a steal that costs the
+	// thief a reconfiguration, so it only pays off against a real backlog
+	// the program's own workers cannot drain. Same-program steals have no
+	// threshold. Default 2.
 	StealBacklog int
 	// Metrics, when non-nil, is the parent registry the pool's registry
 	// attaches to (and detaches from on Close).

@@ -4,9 +4,11 @@
 // (a sim.Machine is single-threaded silicon). Tenants — Farm values
 // opened on the pool — dispatch shards into per-worker run queues
 // through a placement function that knows which program each device
-// currently holds. Reconfiguring a device (microcode compile plus
-// fastpath trace recording) is the expensive operation in this system,
-// so the scheduler's whole job is to amortize it: keep each worker on
+// currently holds. Each tenant compiles its configuration once, into a
+// core.Image its workers load; a reconfiguration is that load (microcode
+// reload and setup phase, a fresh clone of the compiled traces, and a
+// decryption half re-installed on first use). It is still the cost this
+// scheduler exists to amortize: keep each worker on
 // its bound program as long as there is same-program work, steal
 // same-program work from a sibling's queue before anything else, and
 // only pay a reconfiguration when a genuine backlog (StealBacklog) or a
@@ -44,11 +46,7 @@ type progKey struct {
 //
 // Two domains of state coexist here. Scheduler state (q, bound/boundSet,
 // running, active, loaded/loadedSet) is guarded by Pool.mu. Device state
-// (dev) is touched only by the worker's own goroutine after startup —
-// the one exception is Pool.Open gifting its probe device to an idle
-// device-less worker, which happens under mu while the worker provably
-// isn't executing, and is published to the worker goroutine by the mu
-// acquire in its next pick.
+// (dev) is touched only by the worker's own goroutine.
 type worker struct {
 	idx  int
 	wake chan struct{} // buffered 1: placement signal
@@ -74,6 +72,19 @@ type worker struct {
 
 // idleLocked reports whether the worker has nothing queued or running.
 func (w *worker) idleLocked() bool { return !w.running && len(w.q) == 0 }
+
+// loadLocked is the worker's outstanding work in jobs: its queue plus
+// the job it is running. Placement compares workers by it; by queue
+// length alone, a worker running one job with one queued would tie with
+// a worker holding one queued job and nothing running, and could take
+// the next shard too, reaching StealBacklog and inviting a cross-program
+// steal its sibling would have made unnecessary.
+func (w *worker) loadLocked() int {
+	if w.running {
+		return len(w.q) + 1
+	}
+	return len(w.q)
+}
 
 // poolMetrics is the pool-level scheduler instrumentation.
 type poolMetrics struct {
@@ -335,8 +346,8 @@ func (p *Pool) chooseLocked(pk progKey, used []bool) *worker {
 
 // affinityLocked applies the affinity policy's preference order over the
 // workers not excluded by avoid (nil excludes none). The order encodes
-// the cost model — a reconfiguration (microcode compile + fastpath trace
-// recording) is worth avoiding above all else, and a parked worker that
+// the cost model — a reconfiguration (an image load) is worth avoiding
+// above all else, and a parked worker that
 // still holds the program hot beats rebinding a live one:
 //
 //  1. an idle active worker bound to pk (free: device is hot)
@@ -344,7 +355,8 @@ func (p *Pool) chooseLocked(pk progKey, used []bool) *worker {
 //  3. an idle active worker with no binding yet (pays one cold
 //     configure, never a reconfigure)
 //  4. a parked unbound worker (scale up + cold configure)
-//  5. queue behind the least-loaded pk-bound worker with space
+//  5. queue behind the least-loaded (queued plus running) pk-bound
+//     worker with space
 //
 // The remaining rules run only without an avoid set (the second pass)
 // AND when pk has no bound worker with room — rebinding another
@@ -390,7 +402,7 @@ func (p *Pool) affinityLocked(pk progKey, avoid []bool) *worker {
 	var best *worker
 	for _, w := range p.workers {
 		if !skip(w) && w.active && w.boundSet && w.bound == pk && len(w.q) < p.opts.QueueDepth {
-			if best == nil || len(w.q) < len(best.q) {
+			if best == nil || w.loadLocked() < best.loadLocked() {
 				best = w
 			}
 		}
@@ -430,7 +442,7 @@ func (p *Pool) affinityLocked(pk progKey, avoid []bool) *worker {
 	best = nil
 	for _, w := range p.workers {
 		if claim(w) && len(w.q) < p.opts.QueueDepth {
-			if best == nil || len(w.q) < len(best.q) {
+			if best == nil || w.loadLocked() < best.loadLocked() {
 				best = w
 			}
 		}
@@ -464,7 +476,11 @@ func (p *Pool) rebindLocked(w *worker, pk progKey) {
 // on). Same-program steals (the victim's tail job runs on w without
 // reconfiguration) have no threshold; cross-program steals pay a
 // reconfiguration and therefore require the victim to be at least
-// StealBacklog deep. Stealing from the tail leaves the head for the
+// StealBacklog deep, and the program to have no other bound worker less
+// than StealBacklog deep: such a worker drains the backlog itself through
+// free same-program steals, and a thief taking it anyway leaves the
+// program over its fair share, which the placement rule then claims
+// back, paying a second reconfiguration. Stealing from the tail leaves the
 // victim, which preserves FIFO order per queue (order between shards of
 // one call is irrelevant — they write disjoint dst windows).
 func (p *Pool) pickLocked(w *worker) (job, bool) {
@@ -497,7 +513,7 @@ func (p *Pool) pickLocked(w *worker) (job, bool) {
 		}
 	}
 	for _, v := range p.workers {
-		if v == w || !v.running || len(v.q) < p.opts.StealBacklog {
+		if v == w || !v.running || len(v.q) < p.opts.StealBacklog || p.drainsLocked(v) {
 			continue
 		}
 		if victim == nil || len(v.q) > len(victim.q) {
@@ -512,6 +528,19 @@ func (p *Pool) pickLocked(w *worker) (job, bool) {
 		return j, true
 	}
 	return job{}, false
+}
+
+// drainsLocked reports whether another active worker bound to the
+// program of v's tail job is less than StealBacklog deep, and so will
+// take that job by a same-program steal.
+func (p *Pool) drainsLocked(v *worker) bool {
+	pk := v.q[len(v.q)-1].tn.pk
+	for _, o := range p.workers {
+		if o != v && o.active && o.boundSet && o.bound == pk && len(o.q) < p.opts.StealBacklog {
+			return true
+		}
+	}
+	return false
 }
 
 // wakeLocked sends the worker its (non-blocking, buffered-1) placement
@@ -643,14 +672,15 @@ func (p *Pool) execute(w *worker, j *job) error {
 
 // ensure makes the worker's device hold the tenant's program, paying a
 // cold configure (first job on this worker) or a reconfiguration
-// (program switch) as needed. Runs on the worker goroutine.
+// (program switch) as needed. Either way the device loads the tenant's
+// compiled image: a worker never compiles. Runs on the worker goroutine.
 func (p *Pool) ensure(w *worker, tn *Farm) error {
 	if w.dev != nil && w.loadedSet && w.loaded == tn.pk {
 		p.met.affinity.Inc()
 		return nil
 	}
 	if w.dev == nil {
-		dev, err := core.Configure(tn.alg, tn.key, tn.wcfg)
+		dev, err := tn.img.NewDevice(core.Config{})
 		if err != nil {
 			return err
 		}
@@ -658,7 +688,7 @@ func (p *Pool) ensure(w *worker, tn *Farm) error {
 		p.reg.Attach(dev.Obs(), obs.L("worker", strconv.Itoa(w.idx)))
 	} else {
 		p.met.reconfigs.Inc()
-		if err := w.dev.Reconfigure(tn.alg, tn.key, tn.wcfg); err != nil {
+		if err := w.dev.Load(tn.img); err != nil {
 			p.mu.Lock()
 			w.loadedSet = false
 			p.mu.Unlock()

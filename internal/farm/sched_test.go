@@ -9,11 +9,11 @@ import (
 	"time"
 
 	"cobra/internal/core"
+	"cobra/internal/obs"
 )
 
-// TestOptionsDefaults pins the Options surface: zero values fill in,
-// invalid values error, and the deprecated New shim keeps its historical
-// validation.
+// TestOptionsDefaults pins the Options surface: zero values fill in and
+// invalid values error.
 func TestOptionsDefaults(t *testing.T) {
 	o, err := Options{}.withDefaults()
 	if err != nil {
@@ -37,9 +37,6 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 	if o, err := (Options{MinWorkers: 9, Workers: 2}).withDefaults(); err != nil || o.MinWorkers != 2 {
 		t.Errorf("MinWorkers not clamped to Workers: %+v (%v)", o, err)
-	}
-	if _, err := New(core.Rijndael, key, core.Config{}, 0); err == nil {
-		t.Error("New with 0 workers accepted")
 	}
 	if _, err := Open(core.Rijndael, key, Options{Policy: "bogus"}); err == nil {
 		t.Error("Open with a bogus policy accepted")
@@ -400,5 +397,76 @@ func TestPoolWorkStealingSoak(t *testing.T) {
 	}
 	if st := p.SchedStats(); st.AffinityHits == 0 {
 		t.Errorf("soak recorded no affinity hits: %+v", st)
+	}
+}
+
+// TestSchedulerLoadAndStealRules pins, on a hand-built pool state with no
+// worker goroutines, the two rules that keep a partitioned pool from
+// paying reconfigurations it does not need:
+//   - placement queues behind the bound worker with the least outstanding
+//     work, counting the job it runs, not only its queue;
+//   - an idle worker steals across programs only from a running victim at
+//     least StealBacklog deep whose program has no other bound worker
+//     below that depth (that worker drains the backlog for free).
+func TestSchedulerLoadAndStealRules(t *testing.T) {
+	ta := &Farm{pk: progKey{alg: core.Rijndael, key: "a"}}
+	tb := &Farm{pk: progKey{alg: core.Rijndael, key: "b"}}
+	newPool := func(ws ...*worker) *Pool {
+		p := &Pool{opts: Options{QueueDepth: 2, StealBacklog: 2, Policy: PolicyAffinity}, workers: ws}
+		p.met = newPoolMetrics(obs.NewRegistry())
+		for i, w := range ws {
+			w.idx, w.active, w.boundSet = i, true, true
+		}
+		return p
+	}
+	jobs := func(tn *Farm, n int) []job {
+		q := make([]job, n)
+		for i := range q {
+			q[i].tn = tn
+		}
+		return q
+	}
+
+	// Both A workers hold one job; w0 also runs one. The next A shard
+	// goes behind w1.
+	p := newPool(
+		&worker{bound: ta.pk, running: true, q: jobs(ta, 1)},
+		&worker{bound: ta.pk, q: jobs(ta, 1)},
+	)
+	if w := p.affinityLocked(ta.pk, nil); w != p.workers[1] {
+		t.Errorf("placement chose worker %d, want 1 (least outstanding work)", w.idx)
+	}
+
+	// w0 runs A with a backlog of 2 and is A's only worker: the idle B
+	// worker steals and rebinds to A.
+	p = newPool(
+		&worker{bound: ta.pk, running: true, q: jobs(ta, 2)},
+		&worker{bound: tb.pk},
+	)
+	if j, ok := p.pickLocked(p.workers[1]); !ok || j.tn != ta || p.workers[1].bound != ta.pk {
+		t.Errorf("no cross steal from a short program: ok=%v", ok)
+	}
+	if st := p.SchedStats(); st.CrossSteals != 1 || st.Rebinds != 1 {
+		t.Errorf("sched stats %+v, want one cross steal and one rebind", st)
+	}
+
+	// The same backlog with a second A worker one job deep: A drains it
+	// itself, so the B worker stays put.
+	p = newPool(
+		&worker{bound: ta.pk, running: true, q: jobs(ta, 2)},
+		&worker{bound: tb.pk},
+		&worker{bound: ta.pk, q: jobs(ta, 1)},
+	)
+	if _, ok := p.pickLocked(p.workers[1]); ok || p.workers[1].bound != tb.pk {
+		t.Error("cross steal taken from a program whose own worker drains it")
+	}
+
+	// Below StealBacklog there is nothing to steal.
+	p = newPool(
+		&worker{bound: ta.pk, running: true, q: jobs(ta, 1)},
+		&worker{bound: tb.pk},
+	)
+	if _, ok := p.pickLocked(p.workers[1]); ok {
+		t.Error("cross steal below StealBacklog")
 	}
 }

@@ -149,7 +149,12 @@ func TestDifferentialAllBuilders(t *testing.T) {
 			if err != nil {
 				t.Fatalf("build: %v", err)
 			}
-			diffCalls(t, p, []int{1, 3, 1, 7, 2, 5, 1, 1, 4})
+			sizes := []int{1, 3, 1, 7, 2, 5, 1, 1, 4}
+			ex := diffCalls(t, p, sizes)
+			// A clone of the now dirty executor starts from the post-load
+			// state and shares only the compiled trace, so it must match
+			// a freshly loaded interpreter call for call.
+			diffExec(t, p, ex.Clone(), sizes)
 		})
 	}
 }
@@ -177,15 +182,22 @@ func TestDifferentialTiled(t *testing.T) {
 	}
 }
 
-// diffCalls runs a call of each size through the compiled executor and the
-// interpreter in order, both freshly loaded with p, requiring identical
-// ciphertext and identical per-call counters.
-func diffCalls(t *testing.T, p *program.Program, sizes []int) {
+// diffCalls compiles p and runs diffExec on the result, which it returns.
+func diffCalls(t *testing.T, p *program.Program, sizes []int) *fastpath.Exec {
 	t.Helper()
 	ex, err := p.Compile()
 	if err != nil {
 		t.Fatalf("trace compilation must succeed for every built-in program: %v", err)
 	}
+	diffExec(t, p, ex, sizes)
+	return ex
+}
+
+// diffExec runs a call of each size through the compiled executor ex and
+// the interpreter in order, the interpreter freshly loaded with p,
+// requiring identical ciphertext and identical per-call counters.
+func diffExec(t *testing.T, p *program.Program, ex *fastpath.Exec, sizes []int) {
+	t.Helper()
 	m, err := program.NewMachine(p)
 	if err != nil {
 		t.Fatal(err)

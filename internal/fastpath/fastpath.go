@@ -202,6 +202,31 @@ func (e *Exec) Reset() {
 	e.periodPos = 0
 }
 
+// Clone returns an executor in the post-load state (as after Reset) that
+// shares e's compiled cycle streams and tables, which no executor writes
+// after Compile, and owns its registers, feedback, resume point and
+// buffers. Clones of one executor may run on different goroutines; Clone
+// itself reads only the shared compiled part, so it is safe while e runs.
+// core.Image compiles a configuration once and every device loading it
+// runs its own clone.
+func (e *Exec) Clone() *Exec {
+	c := &Exec{
+		src:     e.src,
+		head:    e.head,
+		period:  e.period,
+		rows:    e.rows,
+		elided:  e.elided,
+		steady:  e.steady,
+		tiled:   e.tiled,
+		tileMax: tileBlocks,
+		initReg: e.initReg,
+		initFB:  e.initFB,
+		reg:     make([][datapath.Cols]uint32, e.rows),
+	}
+	c.Reset()
+	return c
+}
+
 // EncryptInto encrypts blocks into dst (len(dst) >= len(blocks); dst may
 // alias blocks) and returns the sim.Stats the interpreter would have
 // reported for exactly this call.

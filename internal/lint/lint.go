@@ -3,15 +3,11 @@
 // standard library only so the suite runs anywhere `go test` does — no
 // module downloads, no separate tool install.
 //
-// Four analyzers ship today:
+// Three analyzers ship today:
 //
 //   - deprecated: bans new callers of the deprecated program.Encrypt*
 //     wrappers anywhere outside package program (which declares and tests
 //     them). The Run consolidation migrated every caller; this keeps it
-//     that way.
-//   - farmnew: bans new callers of the deprecated positional farm.New
-//     constructor outside package farm. The scheduler redesign moved every
-//     caller to farm.Open(alg, key, farm.Options{...}); this keeps it
 //     that way.
 //   - hotpath: flags fmt calls and allocation-prone builtins (make, new,
 //     append) inside functions marked //cobra:hotpath — the fastpath
@@ -67,7 +63,7 @@ type Analyzer struct {
 
 // Analyzers returns the full suite in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{Deprecated, Farmnew, Hotpath, Hotpathpanic}
+	return []*Analyzer{Deprecated, Hotpath, Hotpathpanic}
 }
 
 // deprecatedFuncs are the pre-Run program entry points kept only as
@@ -126,53 +122,6 @@ var Deprecated = &Analyzer{
 				Pos:  f.Fset.Position(call.Pos()),
 				Code: "deprecated",
 				Msg:  fmt.Sprintf("call to deprecated %s.%s — use %s.Run/RunBytes", pkgName, sel.Sel.Name, pkgName),
-			})
-			return true
-		})
-		return fs
-	},
-}
-
-// Farmnew bans new callers of the deprecated positional farm.New
-// constructor (use farm.Open with a farm.Options). Package farm's own
-// files call New unqualified and never match the selector form, so the
-// declaring package keeps testing its deprecation shim.
-var Farmnew = &Analyzer{
-	Name: "farmnew",
-	Doc:  "ban callers of the deprecated farm.New constructor (use farm.Open + farm.Options)",
-	Run: func(f *File) []Finding {
-		pkgName := ""
-		for _, imp := range f.AST.Imports {
-			p, _ := strconv.Unquote(imp.Path.Value)
-			if p != "cobra/internal/farm" {
-				continue
-			}
-			pkgName = "farm"
-			if imp.Name != nil {
-				pkgName = imp.Name.Name
-			}
-		}
-		if pkgName == "" || pkgName == "_" {
-			return nil
-		}
-		var fs []Finding
-		ast.Inspect(f.AST, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			id, ok := sel.X.(*ast.Ident)
-			if !ok || id.Name != pkgName || sel.Sel.Name != "New" {
-				return true
-			}
-			fs = append(fs, Finding{
-				Pos:  f.Fset.Position(call.Pos()),
-				Code: "farmnew",
-				Msg:  fmt.Sprintf("call to deprecated %s.New — use %s.Open with a %s.Options", pkgName, pkgName, pkgName),
 			})
 			return true
 		})

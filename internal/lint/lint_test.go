@@ -85,52 +85,6 @@ func f() {}
 	}
 }
 
-func TestFarmnewAnalyzer(t *testing.T) {
-	cases := []struct {
-		name string
-		src  string
-		want int
-	}{
-		{"direct call", `package x
-import "cobra/internal/farm"
-func f() { farm.New("rijndael", nil, struct{}{}, 4) }
-`, 1},
-		{"renamed import", `package x
-import fm "cobra/internal/farm"
-func f() { fm.New("rijndael", nil, struct{}{}, 4) }
-`, 1},
-		{"open is fine", `package x
-import "cobra/internal/farm"
-func f() { farm.Open("rijndael", nil, farm.Options{Workers: 4}) }
-`, 0},
-		{"same name different package", `package x
-import farm "example.com/other/farm"
-func f() { farm.New() }
-`, 0}, // matched by import path, not by local name
-		{"declaring package unqualified", `package farm
-func f() { _, _ = New("rijndael", nil, struct{}{}, 4) }
-func New(a string, k []byte, c any, n int) (any, error) { return nil, nil }
-`, 0},
-		{"no farm import", `package x
-func New() {}
-func f() { New() }
-`, 0},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			fs := check(t, tc.src)
-			if len(fs) != tc.want {
-				t.Errorf("got %d findings %v, want %d", len(fs), fs, tc.want)
-			}
-			for _, f := range fs {
-				if f.Code != "farmnew" {
-					t.Errorf("unexpected analyzer %q: %v", f.Code, f)
-				}
-			}
-		})
-	}
-}
-
 func TestHotpathAnalyzer(t *testing.T) {
 	cases := []struct {
 		name string
