@@ -228,31 +228,28 @@ func (d *Device) UsesFastpath() bool { return d.enc.fast != nil }
 // fastpath is active or was forced off by Config.Interpreter).
 func (d *Device) FastpathErr() error { return d.img.enc.fastErr }
 
-// run is the engine dispatch of both directions: it routes a bulk block
-// batch through the engine's compiled executor when it has one, falling
-// back to the interpreter otherwise. A machine that has interpreted since
-// its last load owns the in-flight stats chain, so such an engine stays on
-// the interpreter. The context is checked once per batch — a simulated
-// batch is the unit of work a caller can abandon.
+// run is the engine dispatch of both directions, and the one place that
+// chooses between the engines: it routes a bulk block batch through the
+// engine's compiled executor when it has one, and through the interpreter
+// otherwise. The executor is fixed when the engine is loaded, so an
+// engine never mixes the two. The context is checked once per batch — a
+// simulated batch is the unit of work a caller can abandon.
 func (d *Device) run(ctx context.Context, e *engine, dst, blocks []bits.Block128) (sim.Stats, error) {
 	if err := ctx.Err(); err != nil {
 		return sim.Stats{}, err
 	}
 	var st sim.Stats
 	var err error
-	if e.fast != nil && !e.machine.Dirty() {
+	if e.fast != nil {
 		st, err = e.fast.EncryptInto(dst, blocks)
 		if err == nil {
 			d.met.fastBlocks.Add(int64(len(blocks)))
 		}
 	} else {
-		switch {
-		case d.img.interp:
+		if d.img.interp {
 			d.met.fbForced.Inc()
-		case e.fast == nil:
+		} else {
 			d.met.fbRefused.Inc()
-		default:
-			d.met.fbDirty.Inc()
 		}
 		st, err = program.Run(e.machine, e.prog, dst, blocks, program.Opts{})
 		if err == nil {
@@ -586,9 +583,8 @@ func (d *Device) decryptCBCInto(ctx context.Context, dst, iv, src []byte) (sim.S
 // DecryptECB decrypts src on the datapath's decryption engine: the
 // image's decryption half (compiled once per image, on its first use by
 // any device) loaded on the device's first decryption since its last
-// load. It runs on the fastpath under the same dirty-machine rule as
-// encryption, and is counted in the same engine, fallback and Summary
-// series.
+// load. It runs on the fastpath when that half trace-compiles, and is
+// counted in the same engine, fallback and Summary series.
 func (d *Device) DecryptECB(ctx context.Context, src []byte) ([]byte, error) {
 	dst := make([]byte, len(src))
 	if _, err := d.DecryptECBInto(ctx, dst, src); err != nil {

@@ -11,11 +11,10 @@
 // cores and programmable-hardware crypto kernels (PAPERS.md).
 //
 // Dispatch is program-aware (see pool.go): shards are placed on workers
-// whose device already holds the tenant's compiled program, idle workers
-// steal work — same-program first — and the active worker set scales
-// elastically with load. A Pool can be shared by many tenants (the
-// cobrad deployment shape: Pool.Open per tenant key), or owned by a
-// single Farm via Open/New. Workers write ciphertext directly into
+// whose device already holds the tenant's compiled program, and idle
+// workers steal work, same-program first. A Pool can be shared by many
+// tenants (the cobrad deployment shape: Pool.Open per tenant key), or
+// owned by a single Farm via Open. Workers write ciphertext directly into
 // disjoint regions of the caller's destination buffer, so reassembly is
 // ordered by construction, and each job carries its caller's context so
 // cancellation and timeouts short-circuit queued work.
@@ -52,9 +51,17 @@ var ErrClosed = errors.New("farm: closed")
 // fill-and-drain per shard on streaming configurations.
 const DefaultShardBlocks = 1024
 
-// workerQueueDepth is the default per-worker queue capacity; dispatch
-// blocks (backpressure) once a worker is this many shards behind.
+// workerQueueDepth is the per-worker queue capacity; dispatch blocks
+// (backpressure) once a worker is this many shards behind.
 const workerQueueDepth = 2
+
+// stealBacklog is the minimum queue depth of a victim worker, and of
+// every other worker bound to the stolen job's program, before an idle
+// worker performs a cross-program steal. Such a steal costs the thief a
+// reconfiguration, so it only pays off against a real backlog the
+// program's own workers cannot drain. Same-program steals have no
+// threshold.
+const stealBacklog = 2
 
 type mode int
 

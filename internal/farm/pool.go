@@ -1,4 +1,4 @@
-// The worker pool and its program-aware elastic scheduler.
+// The worker pool and its program-aware scheduler.
 //
 // A Pool owns N workers, each the exclusive driver of one core.Device
 // (a sim.Machine is single-threaded silicon). Tenants — Farm values
@@ -8,15 +8,12 @@
 // core.Image its workers load; a reconfiguration is that load (microcode
 // reload and setup phase, a fresh clone of the compiled traces, and a
 // decryption half re-installed on first use). It is still the cost this
-// scheduler exists to amortize: keep each worker on
-// its bound program as long as there is same-program work, steal
-// same-program work from a sibling's queue before anything else, and
-// only pay a reconfiguration when a genuine backlog (StealBacklog) or a
-// cold tenant justifies it. The active worker set is elastic: placement
-// wakes parked workers on demand (scale-up) and a worker that idles past
-// IdleQuiesce parks itself down to the MinWorkers floor, so a
-// multi-tenant cobrad deployment doesn't burn cycles polling on behalf
-// of cold tenants.
+// scheduler exists to amortize: keep each worker on its bound program as
+// long as there is same-program work, steal same-program work from a
+// sibling's queue before anything else, and only pay a reconfiguration
+// when a genuine backlog (stealBacklog) or a cold tenant justifies it.
+// An idle worker costs nothing: its goroutine blocks until placement
+// wakes it or the pool closes.
 package farm
 
 import (
@@ -45,7 +42,7 @@ type progKey struct {
 // and its slice of the run queue.
 //
 // Two domains of state coexist here. Scheduler state (q, bound/boundSet,
-// running, active, loaded/loadedSet) is guarded by Pool.mu. Device state
+// running, loaded/loadedSet) is guarded by Pool.mu. Device state
 // (dev) is touched only by the worker's own goroutine.
 type worker struct {
 	idx  int
@@ -57,7 +54,6 @@ type worker struct {
 	loaded    progKey // program actually on the device
 	loadedSet bool
 	running   bool
-	active    bool
 
 	dev *core.Device
 
@@ -77,7 +73,7 @@ func (w *worker) idleLocked() bool { return !w.running && len(w.q) == 0 }
 // the job it is running. Placement compares workers by it; by queue
 // length alone, a worker running one job with one queued would tie with
 // a worker holding one queued job and nothing running, and could take
-// the next shard too, reaching StealBacklog and inviting a cross-program
+// the next shard too, reaching stealBacklog and inviting a cross-program
 // steal its sibling would have made unnecessary.
 func (w *worker) loadLocked() int {
 	if w.running {
@@ -96,8 +92,6 @@ type poolMetrics struct {
 	stealsX    *obs.Counter
 	rebinds    *obs.Counter
 	reconfigs  *obs.Counter
-	scaleUps   *obs.Counter
-	quiesces   *obs.Counter
 }
 
 func newPoolMetrics(reg *obs.Registry) *poolMetrics {
@@ -118,10 +112,6 @@ func newPoolMetrics(reg *obs.Registry) *poolMetrics {
 			"Workers re-routed from one program to another by placement or stealing."),
 		reconfigs: reg.Counter("cobra_farm_reconfigures_total",
 			"Device reconfigurations paid to switch a worker's loaded program."),
-		scaleUps: reg.Counter("cobra_farm_scale_ups_total",
-			"Parked workers reactivated by placement demand."),
-		quiesces: reg.Counter("cobra_farm_quiesces_total",
-			"Workers parked by the autoscaler after idling past IdleQuiesce."),
 	}
 }
 
@@ -133,8 +123,6 @@ type SchedStats struct {
 	CrossSteals   int64 `json:"cross_steals"`
 	Rebinds       int64 `json:"rebinds"`
 	Reconfigures  int64 `json:"reconfigures"`
-	ScaleUps      int64 `json:"scale_ups"`
-	Quiesces      int64 `json:"quiesces"`
 }
 
 // Pool is a set of workers shared by any number of tenants (Farms).
@@ -152,9 +140,8 @@ type Pool struct {
 	closeMu sync.RWMutex
 	closed  bool // guarded by closeMu
 
-	mu       sync.Mutex // scheduler state: queues, bindings, active set
+	mu       sync.Mutex // scheduler state: queues, bindings
 	workers  []*worker
-	active   int
 	rr       int           // roundrobin policy cursor
 	space    chan struct{} // closed+remade whenever queue capacity frees
 	draining bool
@@ -191,9 +178,8 @@ func newPool(o Options, extra ...obs.Label) (*Pool, error) {
 	for i := 0; i < o.Workers; i++ {
 		wl := obs.L("worker", strconv.Itoa(i))
 		w := &worker{
-			idx:    i,
-			wake:   make(chan struct{}, 1),
-			active: true,
+			idx:  i,
+			wake: make(chan struct{}, 1),
 			jobs: p.reg.Counter("cobra_farm_worker_jobs_total",
 				"Jobs completed per worker.", wl),
 			errs: p.reg.Counter("cobra_farm_worker_errors_total",
@@ -211,15 +197,7 @@ func newPool(o Options, extra ...obs.Label) (*Pool, error) {
 			}, wl)
 		p.workers = append(p.workers, w)
 	}
-	p.active = o.Workers
 	p.reg.Gauge("cobra_farm_workers", "Pool size.").Set(int64(o.Workers))
-	p.reg.GaugeFunc("cobra_farm_workers_active",
-		"Workers currently in the active set (not quiesced).",
-		func() int64 {
-			p.mu.Lock()
-			defer p.mu.Unlock()
-			return int64(p.active)
-		})
 	if o.Metrics != nil {
 		p.parent = o.Metrics
 		p.parent.Attach(p.reg)
@@ -233,14 +211,6 @@ func newPool(o Options, extra ...obs.Label) (*Pool, error) {
 
 // Workers returns the pool size.
 func (p *Pool) Workers() int { return len(p.workers) }
-
-// ActiveWorkers returns the current size of the active (non-quiesced)
-// worker set.
-func (p *Pool) ActiveWorkers() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.active
-}
 
 // Obs returns the pool's metrics registry: scheduler series plus every
 // worker's device registry under worker="N" labels.
@@ -263,7 +233,7 @@ func (p *Pool) QueueDepth() int {
 
 // QueueCapacity returns the total queued-shard capacity of the pool —
 // the saturation point of QueueDepth.
-func (p *Pool) QueueCapacity() int { return len(p.workers) * p.opts.QueueDepth }
+func (p *Pool) QueueCapacity() int { return len(p.workers) * workerQueueDepth }
 
 // SchedStats snapshots the scheduler counters.
 func (p *Pool) SchedStats() SchedStats {
@@ -274,8 +244,6 @@ func (p *Pool) SchedStats() SchedStats {
 		CrossSteals:   m.stealsX.Value(),
 		Rebinds:       m.rebinds.Value(),
 		Reconfigures:  m.reconfigs.Value(),
-		ScaleUps:      m.scaleUps.Value(),
-		Quiesces:      m.quiesces.Value(),
 	}
 }
 
@@ -293,12 +261,12 @@ func (p *Pool) place(ctx context.Context, j job, used []bool) error {
 			w.q = append(w.q, j)
 			wakeLocked(w)
 			// A shard queued behind a running worker is a steal
-			// opportunity: wake the idle active siblings so one of them
-			// can take it (the target itself won't look again until its
-			// current job ends).
+			// opportunity: wake the idle siblings so one of them can take
+			// it (the target itself won't look again until its current
+			// job ends).
 			if w.running && p.opts.Policy == PolicyAffinity {
 				for _, o := range p.workers {
-					if o != w && o.active && o.idleLocked() {
+					if o != w && o.idleLocked() {
 						wakeLocked(o)
 					}
 				}
@@ -331,7 +299,7 @@ func (p *Pool) place(ctx context.Context, j job, used []bool) error {
 func (p *Pool) chooseLocked(pk progKey, used []bool) *worker {
 	if p.opts.Policy == PolicyRoundRobin {
 		w := p.workers[p.rr%len(p.workers)]
-		if len(w.q) >= p.opts.QueueDepth {
+		if len(w.q) >= workerQueueDepth {
 			return nil
 		}
 		p.rr++
@@ -347,15 +315,12 @@ func (p *Pool) chooseLocked(pk progKey, used []bool) *worker {
 // affinityLocked applies the affinity policy's preference order over the
 // workers not excluded by avoid (nil excludes none). The order encodes
 // the cost model — a reconfiguration (an image load) is worth avoiding
-// above all else, and a parked worker that
-// still holds the program hot beats rebinding a live one:
+// above all else:
 //
-//  1. an idle active worker bound to pk (free: device is hot)
-//  2. a parked worker bound to pk (scale up, device still hot)
-//  3. an idle active worker with no binding yet (pays one cold
-//     configure, never a reconfigure)
-//  4. a parked unbound worker (scale up + cold configure)
-//  5. queue behind the least-loaded (queued plus running) pk-bound
+//  1. an idle worker bound to pk (free: device is hot)
+//  2. an idle worker with no binding yet (pays one cold configure,
+//     never a reconfigure)
+//  3. queue behind the least-loaded (queued plus running) pk-bound
 //     worker with space
 //
 // The remaining rules run only without an avoid set (the second pass)
@@ -370,38 +335,24 @@ func (p *Pool) chooseLocked(pk progKey, used []bool) *worker {
 // no binding at all (more tenants than workers) may claim from anyone
 // rather than starve. Among claimable workers:
 //
-//  6. rebind an idle active claimable worker
-//  7. wake and rebind a parked claimable worker
-//  8. queue behind the least-loaded claimable worker with space
+//  4. rebind an idle claimable worker
+//  5. queue behind the least-loaded claimable worker with space
 func (p *Pool) affinityLocked(pk progKey, avoid []bool) *worker {
 	skip := func(w *worker) bool { return avoid != nil && avoid[w.idx] }
 	for _, w := range p.workers {
-		if !skip(w) && w.active && w.idleLocked() && w.boundSet && w.bound == pk {
+		if !skip(w) && w.idleLocked() && w.boundSet && w.bound == pk {
 			return w
 		}
 	}
 	for _, w := range p.workers {
-		if !skip(w) && !w.active && w.boundSet && w.bound == pk {
-			p.activateLocked(w)
-			return w
-		}
-	}
-	for _, w := range p.workers {
-		if !skip(w) && w.active && w.idleLocked() && !w.boundSet {
-			w.bound, w.boundSet = pk, true
-			return w
-		}
-	}
-	for _, w := range p.workers {
-		if !skip(w) && !w.active && !w.boundSet {
-			p.activateLocked(w)
+		if !skip(w) && w.idleLocked() && !w.boundSet {
 			w.bound, w.boundSet = pk, true
 			return w
 		}
 	}
 	var best *worker
 	for _, w := range p.workers {
-		if !skip(w) && w.active && w.boundSet && w.bound == pk && len(w.q) < p.opts.QueueDepth {
+		if !skip(w) && w.boundSet && w.bound == pk && len(w.q) < workerQueueDepth {
 			if best == nil || w.loadLocked() < best.loadLocked() {
 				best = w
 			}
@@ -427,21 +378,14 @@ func (p *Pool) affinityLocked(pk progKey, avoid []bool) *worker {
 		return !w.boundSet || (w.bound != pk && counts[w.bound] >= need)
 	}
 	for _, w := range p.workers {
-		if w.active && w.idleLocked() && claim(w) {
-			p.rebindLocked(w, pk)
-			return w
-		}
-	}
-	for _, w := range p.workers {
-		if !w.active && claim(w) {
-			p.activateLocked(w)
+		if w.idleLocked() && claim(w) {
 			p.rebindLocked(w, pk)
 			return w
 		}
 	}
 	best = nil
 	for _, w := range p.workers {
-		if claim(w) && len(w.q) < p.opts.QueueDepth {
+		if claim(w) && len(w.q) < workerQueueDepth {
 			if best == nil || w.loadLocked() < best.loadLocked() {
 				best = w
 			}
@@ -452,12 +396,6 @@ func (p *Pool) affinityLocked(pk progKey, avoid []bool) *worker {
 		return best
 	}
 	return nil // wait: pk's fair share of the pool is already working for it
-}
-
-func (p *Pool) activateLocked(w *worker) {
-	w.active = true
-	p.active++
-	p.met.scaleUps.Inc()
 }
 
 func (p *Pool) rebindLocked(w *worker, pk progKey) {
@@ -476,8 +414,8 @@ func (p *Pool) rebindLocked(w *worker, pk progKey) {
 // on). Same-program steals (the victim's tail job runs on w without
 // reconfiguration) have no threshold; cross-program steals pay a
 // reconfiguration and therefore require the victim to be at least
-// StealBacklog deep, and the program to have no other bound worker less
-// than StealBacklog deep: such a worker drains the backlog itself through
+// stealBacklog deep, and the program to have no other bound worker less
+// than stealBacklog deep: such a worker drains the backlog itself through
 // free same-program steals, and a thief taking it anyway leaves the
 // program over its fair share, which the placement rule then claims
 // back, paying a second reconfiguration. Stealing from the tail leaves the
@@ -513,7 +451,7 @@ func (p *Pool) pickLocked(w *worker) (job, bool) {
 		}
 	}
 	for _, v := range p.workers {
-		if v == w || !v.running || len(v.q) < p.opts.StealBacklog || p.drainsLocked(v) {
+		if v == w || !v.running || len(v.q) < stealBacklog || p.drainsLocked(v) {
 			continue
 		}
 		if victim == nil || len(v.q) > len(victim.q) {
@@ -530,13 +468,13 @@ func (p *Pool) pickLocked(w *worker) (job, bool) {
 	return job{}, false
 }
 
-// drainsLocked reports whether another active worker bound to the
-// program of v's tail job is less than StealBacklog deep, and so will
-// take that job by a same-program steal.
+// drainsLocked reports whether another worker bound to the program of
+// v's tail job is less than stealBacklog deep, and so will take that job
+// by a same-program steal.
 func (p *Pool) drainsLocked(v *worker) bool {
 	pk := v.q[len(v.q)-1].tn.pk
 	for _, o := range p.workers {
-		if o != v && o.active && o.boundSet && o.bound == pk && len(o.q) < p.opts.StealBacklog {
+		if o != v && o.boundSet && o.bound == pk && len(o.q) < stealBacklog {
 			return true
 		}
 	}
@@ -560,7 +498,7 @@ func (p *Pool) signalSpaceLocked() {
 }
 
 // runWorker is one worker goroutine: pick (or steal) a job, run it,
-// answer it, repeat; park when idle, exit when the pool drains on Close.
+// answer it, repeat; block when idle, exit when the pool drains on Close.
 // The job's error is sent only after the worker has returned to the idle
 // state under mu, so a single sequential caller observes deterministic
 // placement (by the time dispatch returns, every worker it used is idle
@@ -588,43 +526,10 @@ func (p *Pool) runWorker(w *worker) {
 		if draining {
 			return
 		}
-		p.waitForWork(w)
-	}
-}
-
-// waitForWork blocks until placement signals this worker (or the pool
-// closes). Under the affinity policy a worker that idles past
-// IdleQuiesce parks itself — leaves the active set, down to the
-// MinWorkers floor — and keeps waiting; placement reactivates parked
-// workers on demand.
-func (p *Pool) waitForWork(w *worker) {
-	quiesce := p.opts.IdleQuiesce
-	if p.opts.Policy != PolicyAffinity || quiesce < 0 {
 		select {
 		case <-w.wake:
 		case <-p.closeCh:
 		}
-		return
-	}
-	t := time.NewTimer(quiesce)
-	defer t.Stop()
-	select {
-	case <-w.wake:
-		return
-	case <-p.closeCh:
-		return
-	case <-t.C:
-	}
-	p.mu.Lock()
-	if w.active && w.idleLocked() && p.active > p.opts.MinWorkers {
-		w.active = false
-		p.active--
-		p.met.quiesces.Inc()
-	}
-	p.mu.Unlock()
-	select {
-	case <-w.wake:
-	case <-p.closeCh:
 	}
 }
 

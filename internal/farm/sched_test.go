@@ -19,8 +19,7 @@ func TestOptionsDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.Workers != 4 || o.MinWorkers != 1 || o.QueueDepth != workerQueueDepth ||
-		o.ShardBlocks != DefaultShardBlocks || o.Policy != PolicyAffinity || o.StealBacklog != 2 {
+	if o.Workers != 4 || o.ShardBlocks != DefaultShardBlocks || o.Policy != PolicyAffinity {
 		t.Errorf("unexpected defaults: %+v", o)
 	}
 	if _, err := (Options{Workers: -1}).withDefaults(); err == nil {
@@ -29,14 +28,8 @@ func TestOptionsDefaults(t *testing.T) {
 	if _, err := (Options{Policy: "lifo"}).withDefaults(); err == nil {
 		t.Error("unknown policy accepted")
 	}
-	if _, err := (Options{QueueDepth: -2}).withDefaults(); err == nil {
-		t.Error("negative queue depth accepted")
-	}
 	if _, err := (Options{ShardBlocks: -8}).withDefaults(); err == nil {
 		t.Error("negative shard blocks accepted")
-	}
-	if o, err := (Options{MinWorkers: 9, Workers: 2}).withDefaults(); err != nil || o.MinWorkers != 2 {
-		t.Errorf("MinWorkers not clamped to Workers: %+v (%v)", o, err)
 	}
 	if _, err := Open(core.Rijndael, key, Options{Policy: "bogus"}); err == nil {
 		t.Error("Open with a bogus policy accepted")
@@ -180,44 +173,6 @@ func TestFarmSameProgramSteal(t *testing.T) {
 	}
 }
 
-// TestFarmAutoscaleQuiesce checks the elastic worker set: an idle pool
-// parks down to MinWorkers, and demand reactivates parked workers.
-func TestFarmAutoscaleQuiesce(t *testing.T) {
-	f, err := Open(core.Rijndael, key, Options{Workers: 4, MinWorkers: 1, IdleQuiesce: 10 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	iv := make([]byte, 16)
-	msg := testMessage(16 * 64)
-	want, err := f.EncryptCTR(context.Background(), iv, msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.After(10 * time.Second)
-	for f.pool.ActiveWorkers() > 1 {
-		select {
-		case <-deadline:
-			t.Fatalf("pool never quiesced: %d workers active", f.pool.ActiveWorkers())
-		case <-time.After(time.Millisecond):
-		}
-	}
-	if st := f.pool.SchedStats(); st.Quiesces < 3 {
-		t.Errorf("Quiesces = %d, want >= 3", st.Quiesces)
-	}
-	// Demand wakes parked workers and the output stays correct.
-	got, err := f.EncryptCTR(context.Background(), iv, msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Error("post-quiesce output diverges")
-	}
-	if st := f.pool.SchedStats(); st.ScaleUps == 0 {
-		t.Error("no scale-ups recorded after post-quiesce traffic")
-	}
-}
-
 // TestPoolMultiTenantAffinity is the scheduler's reason to exist: two
 // tenants with different keys sharing one pool must partition onto
 // disjoint workers after warmup, so steady-state traffic pays zero
@@ -330,10 +285,10 @@ func TestPoolRoundRobinReconfigures(t *testing.T) {
 
 // TestPoolWorkStealingSoak is the -race soak for the scheduler: several
 // tenants hammer a small shared pool concurrently in every sharded mode,
-// every result verified, so placement, stealing, rebinding, autoscaling
-// and tenant accounting all interleave under the race detector.
+// every result verified, so placement, stealing, rebinding and tenant
+// accounting all interleave under the race detector.
 func TestPoolWorkStealingSoak(t *testing.T) {
-	p, err := NewPool(Options{Workers: 4, IdleQuiesce: 5 * time.Millisecond})
+	p, err := NewPool(Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,24 +355,35 @@ func TestPoolWorkStealingSoak(t *testing.T) {
 	}
 }
 
-// TestSchedulerLoadAndStealRules pins, on a hand-built pool state with no
-// worker goroutines, the two rules that keep a partitioned pool from
-// paying reconfigurations it does not need:
+// TestSchedulerLoadAndStealRules pins, on hand-built pool states with no
+// worker goroutines, the rules that keep a partitioned pool from paying
+// reconfigurations it does not need:
+//   - an idle worker bound to the program beats an idle unbound one, and
+//     claiming an unbound worker is a cold configure, not a rebind;
 //   - placement queues behind the bound worker with the least outstanding
 //     work, counting the job it runs, not only its queue;
+//   - a program claims another's worker only from a program holding at
+//     least two more workers than it does, and otherwise waits; a program
+//     with no workers claims from anyone;
 //   - an idle worker steals across programs only from a running victim at
-//     least StealBacklog deep whose program has no other bound worker
+//     least stealBacklog deep whose program has no other bound worker
 //     below that depth (that worker drains the backlog for free).
 func TestSchedulerLoadAndStealRules(t *testing.T) {
 	ta := &Farm{pk: progKey{alg: core.Rijndael, key: "a"}}
 	tb := &Farm{pk: progKey{alg: core.Rijndael, key: "b"}}
 	newPool := func(ws ...*worker) *Pool {
-		p := &Pool{opts: Options{QueueDepth: 2, StealBacklog: 2, Policy: PolicyAffinity}, workers: ws}
+		p := &Pool{opts: Options{Policy: PolicyAffinity}, workers: ws}
 		p.met = newPoolMetrics(obs.NewRegistry())
 		for i, w := range ws {
-			w.idx, w.active, w.boundSet = i, true, true
+			w.idx, w.boundSet = i, w.bound != progKey{}
 		}
 		return p
+	}
+	idx := func(w *worker) int {
+		if w == nil {
+			return -1
+		}
+		return w.idx
 	}
 	jobs := func(tn *Farm, n int) []job {
 		q := make([]job, n)
@@ -427,14 +393,60 @@ func TestSchedulerLoadAndStealRules(t *testing.T) {
 		return q
 	}
 
+	// An idle A worker beats an idle unbound one for an A shard; a B shard
+	// then claims the unbound worker without counting a rebind.
+	p := newPool(&worker{}, &worker{bound: ta.pk})
+	if w := p.affinityLocked(ta.pk, nil); w != p.workers[1] {
+		t.Errorf("placement chose worker %d, want 1 (idle and bound)", idx(w))
+	}
+	if w := p.affinityLocked(tb.pk, nil); w != p.workers[0] || w.bound != tb.pk {
+		t.Errorf("placement chose worker %d, want 0 (idle and unbound) bound to B", idx(w))
+	}
+	if st := p.SchedStats(); st.Rebinds != 0 {
+		t.Errorf("claiming an unbound worker counted %d rebinds, want 0", st.Rebinds)
+	}
+
 	// Both A workers hold one job; w0 also runs one. The next A shard
 	// goes behind w1.
-	p := newPool(
+	p = newPool(
 		&worker{bound: ta.pk, running: true, q: jobs(ta, 1)},
 		&worker{bound: ta.pk, q: jobs(ta, 1)},
 	)
 	if w := p.affinityLocked(ta.pk, nil); w != p.workers[1] {
-		t.Errorf("placement chose worker %d, want 1 (least outstanding work)", w.idx)
+		t.Errorf("placement chose worker %d, want 1 (least outstanding work)", idx(w))
+	}
+
+	// B's one worker is full. A holds counts[B]+2 = 3 idle workers and
+	// gives one up.
+	p = newPool(
+		&worker{bound: tb.pk, running: true, q: jobs(tb, 2)},
+		&worker{bound: ta.pk}, &worker{bound: ta.pk}, &worker{bound: ta.pk},
+	)
+	if w := p.affinityLocked(tb.pk, nil); w != p.workers[1] || w.bound != tb.pk {
+		t.Error("B did not claim an idle worker from A holding two more than B")
+	}
+	if st := p.SchedStats(); st.Rebinds != 1 {
+		t.Errorf("fair claim counted %d rebinds, want 1", st.Rebinds)
+	}
+
+	// With A at counts[B]+1 = 2 workers a claim would only move the
+	// imbalance, so B waits and A keeps both workers.
+	p = newPool(
+		&worker{bound: tb.pk, running: true, q: jobs(tb, 2)},
+		&worker{bound: ta.pk}, &worker{bound: ta.pk},
+	)
+	if w := p.affinityLocked(tb.pk, nil); w != nil {
+		t.Errorf("B claimed worker %d from A holding only one more than B", w.idx)
+	}
+	if p.workers[1].bound != ta.pk || p.workers[2].bound != ta.pk || p.SchedStats().Rebinds != 0 {
+		t.Error("a refused claim rebound a worker")
+	}
+
+	// A program with no workers claims from anyone, even from a program
+	// holding a single worker, rather than starve.
+	p = newPool(&worker{bound: ta.pk})
+	if w := p.affinityLocked(tb.pk, nil); w != p.workers[0] || w.bound != tb.pk {
+		t.Error("a cold program did not claim the only worker")
 	}
 
 	// w0 runs A with a backlog of 2 and is A's only worker: the idle B
@@ -461,12 +473,12 @@ func TestSchedulerLoadAndStealRules(t *testing.T) {
 		t.Error("cross steal taken from a program whose own worker drains it")
 	}
 
-	// Below StealBacklog there is nothing to steal.
+	// Below stealBacklog there is nothing to steal.
 	p = newPool(
 		&worker{bound: ta.pk, running: true, q: jobs(ta, 1)},
 		&worker{bound: tb.pk},
 	)
 	if _, ok := p.pickLocked(p.workers[1]); ok {
-		t.Error("cross steal below StealBacklog")
+		t.Error("cross steal below stealBacklog")
 	}
 }

@@ -26,7 +26,7 @@
 // Programs that break the preconditions — eRAM writes, LUT loads or capture
 // ports active during bulk encryption, key-request handshakes, aperiodic
 // output cadence — are refused by Compile; callers fall back to the
-// interpreter (program.Run with Opts.Fast automates this). As a final guard,
+// interpreter (core.Device makes that choice). As a final guard,
 // Compile replays the recorded inputs through the freshly compiled trace
 // and requires bit-identical outputs and counters before returning it.
 //

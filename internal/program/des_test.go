@@ -85,7 +85,7 @@ func TestDESOnCOBRARandomized(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, _, err := EncryptBytes(m, p, sbs)
+		got, _, err := runBytes(m, p, sbs)
 		if err != nil {
 			return false
 		}

@@ -217,7 +217,7 @@ func TestGoldenVectors(t *testing.T) {
 				}
 				blocks := []bits.Block128{in}
 				got := make([]bits.Block128, 1)
-				if _, err := program.EncryptInto(m, p, got, blocks); err != nil {
+				if _, err := program.Run(m, p, got, blocks, program.Opts{}); err != nil {
 					t.Fatalf("%s: interpreter: %v", label, err)
 				}
 				check(label, "interpreter", got[0])

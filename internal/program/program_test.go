@@ -20,6 +20,13 @@ func refEncryptECB(t *testing.T, c cipher.Block, src []byte) []byte {
 	return dst
 }
 
+// runBytes is RunBytes into a fresh destination.
+func runBytes(m *sim.Machine, p *Program, src []byte) ([]byte, sim.Stats, error) {
+	dst := make([]byte, len(src))
+	stats, err := RunBytes(m, p, dst, src, Opts{})
+	return dst, stats, err
+}
+
 // cobraEncryptECB builds, loads and runs a program over src.
 func cobraEncryptECB(t *testing.T, p *Program, src []byte) ([]byte, sim.Stats) {
 	t.Helper()
@@ -30,7 +37,7 @@ func cobraEncryptECB(t *testing.T, p *Program, src []byte) ([]byte, sim.Stats) {
 	if err := Load(m, p); err != nil {
 		t.Fatalf("%s: load: %v", p.Name, err)
 	}
-	out, stats, err := EncryptBytes(m, p, src)
+	out, stats, err := runBytes(m, p, src)
 	if err != nil {
 		t.Fatalf("%s: encrypt: %v", p.Name, err)
 	}
@@ -94,7 +101,7 @@ func TestRC6OnCOBRARandomized(t *testing.T) {
 		if err := Load(m, p); err != nil {
 			return false
 		}
-		got, _, err := EncryptBytes(m, p, pt[:])
+		got, _, err := runBytes(m, p, pt[:])
 		return err == nil && bytes.Equal(got, want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
@@ -191,7 +198,7 @@ func TestSerpentOnCOBRARandomized(t *testing.T) {
 		if err := Load(m, p); err != nil {
 			return false
 		}
-		got, _, err := EncryptBytes(m, p, pt[:])
+		got, _, err := runBytes(m, p, pt[:])
 		return err == nil && bytes.Equal(got, want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
@@ -253,7 +260,7 @@ func TestEncryptBytesRejectsPartialBlocks(t *testing.T) {
 	if err := Load(m, p); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := EncryptBytes(m, p, make([]byte, 15)); err == nil {
+	if _, _, err := runBytes(m, p, make([]byte, 15)); err == nil {
 		t.Error("expected error for partial block")
 	}
 }
@@ -270,9 +277,9 @@ func TestEncryptEmptyInput(t *testing.T) {
 	if err := Load(m, p); err != nil {
 		t.Fatal(err)
 	}
-	out, _, err := Encrypt(m, p, nil)
-	if err != nil || out != nil {
-		t.Errorf("empty input: out=%v err=%v", out, err)
+	stats, err := Run(m, p, nil, nil, Opts{})
+	if err != nil || stats != (sim.Stats{}) {
+		t.Errorf("empty input: stats=%+v err=%v", stats, err)
 	}
 }
 
@@ -296,14 +303,14 @@ func TestReloadBetweenKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	pt := testPlain[:16]
-	got1, _, err := EncryptBytes(m, p1, pt)
+	got1, _, err := runBytes(m, p1, pt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := Load(m, p2); err != nil {
 		t.Fatal(err)
 	}
-	got2, _, err := EncryptBytes(m, p2, pt)
+	got2, _, err := runBytes(m, p2, pt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +344,7 @@ func TestStreamingMachineReuse(t *testing.T) {
 	}
 	for call := 0; call < 3; call++ {
 		pt := bytes.Repeat([]byte{byte(call + 1)}, 32)
-		got, _, err := EncryptBytes(m, p, pt)
+		got, _, err := runBytes(m, p, pt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -364,11 +371,11 @@ func TestIterativeMachineReuseNoReload(t *testing.T) {
 		t.Fatal(err)
 	}
 	pt := bytes.Repeat([]byte{7}, 16)
-	if _, _, err := EncryptBytes(m, p, pt); err != nil {
+	if _, _, err := runBytes(m, p, pt); err != nil {
 		t.Fatal(err)
 	}
 	c1 := m.Stats().Cycles
-	if _, _, err := EncryptBytes(m, p, pt); err != nil {
+	if _, _, err := runBytes(m, p, pt); err != nil {
 		t.Fatal(err)
 	}
 	if m.Stats().Cycles <= c1 {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"cobra/internal/bits"
-	"cobra/internal/fastpath"
 	"cobra/internal/sim"
 )
 
@@ -33,20 +32,16 @@ func Load(m *sim.Machine, p *Program) error {
 	return nil
 }
 
-// Opts configures a Run call. The zero value selects the cycle-accurate
-// interpreter with default behavior.
-type Opts struct {
-	// Fast, when non-nil, routes the call through the trace-compiled
-	// executor (Program.Compile) as long as the machine is clean. A
-	// machine that has interpreted since its last load owns the in-flight
-	// stats chain, so a dirty machine stays on the interpreter rather than
-	// splitting one measurement across two engines. Nil always interprets.
-	Fast *fastpath.Exec
-}
+// Opts configures a Run call. It has no fields: Run always interprets,
+// and the choice between the interpreter and the compiled executor is
+// made in one place, core.Device. The type stays so that the RunBytes
+// signature the perfbench harness (a separate module) calls is
+// unchanged.
+type Opts struct{}
 
 // Run is the bulk-encryption entry point: it streams src blocks through
-// the loaded machine (or the compiled executor, see Opts.Fast) into dst
-// and returns the simulator counters for exactly this call. dst must hold
+// the loaded machine into dst and returns the simulator counters for
+// exactly this call. dst must hold
 // at least len(src) blocks and may alias src (inputs are staged before
 // any output is written back).
 //
@@ -58,15 +53,12 @@ type Opts struct {
 // the full post-reload counters for streaming programs — so repeated
 // calls on one machine measure independently, and the fastpath engine
 // reproduces the interpreter's counters exactly.
-func Run(m *sim.Machine, p *Program, dst, src []bits.Block128, o Opts) (sim.Stats, error) {
+func Run(m *sim.Machine, p *Program, dst, src []bits.Block128, _ Opts) (sim.Stats, error) {
 	if len(src) == 0 {
 		return sim.Stats{}, nil
 	}
 	if len(dst) < len(src) {
 		return sim.Stats{}, fmt.Errorf("program: dst holds %d blocks, need %d", len(dst), len(src))
-	}
-	if o.Fast != nil && !m.Dirty() {
-		return o.Fast.EncryptInto(dst, src)
 	}
 	if p.Streaming && m.Dirty() {
 		// A streaming program never returns to the idle point, so a used
@@ -121,47 +113,4 @@ func RunBytes(m *sim.Machine, p *Program, dst, src []byte, o Opts) (sim.Stats, e
 		blk.StoreBlock128(dst[16*i:])
 	}
 	return stats, nil
-}
-
-// Encrypt runs blocks through a loaded machine and returns the ciphertext
-// blocks together with the performance counters for the run.
-//
-// Deprecated: use Run with a caller-supplied destination. Kept as a thin
-// wrapper for one release of the stacked-PR sequence.
-func Encrypt(m *sim.Machine, p *Program, blocks []bits.Block128) ([]bits.Block128, sim.Stats, error) {
-	if len(blocks) == 0 {
-		return nil, sim.Stats{}, nil
-	}
-	out := make([]bits.Block128, len(blocks))
-	stats, err := Run(m, p, out, blocks, Opts{})
-	if err != nil {
-		return nil, sim.Stats{}, err
-	}
-	return out, stats, nil
-}
-
-// EncryptInto is Run without options.
-//
-// Deprecated: use Run.
-func EncryptInto(m *sim.Machine, p *Program, dst, blocks []bits.Block128) (sim.Stats, error) {
-	return Run(m, p, dst, blocks, Opts{})
-}
-
-// EncryptBytes is RunBytes allocating its destination.
-//
-// Deprecated: use RunBytes with a caller-supplied destination.
-func EncryptBytes(m *sim.Machine, p *Program, src []byte) ([]byte, sim.Stats, error) {
-	dst := make([]byte, len(src))
-	stats, err := RunBytes(m, p, dst, src, Opts{})
-	if err != nil {
-		return nil, stats, err
-	}
-	return dst, stats, nil
-}
-
-// EncryptBytesInto is RunBytes without options.
-//
-// Deprecated: use RunBytes.
-func EncryptBytesInto(m *sim.Machine, p *Program, dst, src []byte) (sim.Stats, error) {
-	return RunBytes(m, p, dst, src, Opts{})
 }

@@ -25,16 +25,10 @@ type Options struct {
 	Backend string
 	// Workers is the worker-pool width shared by every farm backend
 	// (default 4; ignored for "device"). One pool serves all tenant
-	// configurations: the scheduler keeps each worker's device bound to
-	// one (program, key) so tenant traffic avoids reconfigurations.
+	// configurations: the affinity scheduler keeps each worker's device
+	// bound to one (program, key) so tenant traffic avoids
+	// reconfigurations.
 	Workers int
-	// MinWorkers is the floor the shared pool quiesces down to when
-	// idle (default 1; ignored for "device").
-	MinWorkers int
-	// SchedPolicy selects the pool's placement policy: "affinity"
-	// (default — program-aware, work stealing, elastic) or
-	// "roundrobin" (the baseline). Ignored for "device".
-	SchedPolicy string
 	// MaxBackends bounds the LRU of configured backends (default 8).
 	// Distinct (algorithm, key, unroll) triples beyond this evict the
 	// least-recently-used idle backend; if every cached backend is
@@ -143,11 +137,7 @@ func NewServer(opts Options) (*Server, error) {
 	}
 	s.met = newServerMetrics(s.reg)
 	if opts.Backend == "farm" {
-		pool, err := farm.NewPool(farm.Options{
-			Workers:    opts.Workers,
-			MinWorkers: opts.MinWorkers,
-			Policy:     farm.Policy(opts.SchedPolicy),
-		})
+		pool, err := farm.NewPool(farm.Options{Workers: opts.Workers})
 		if err != nil {
 			return nil, err
 		}

@@ -219,8 +219,8 @@ func (m *Machine) LoadProgram(words []isa.Word) error {
 // program load settled (program.Load marks the post-setup idle point clean
 // via MarkClean). Streaming (non-feedback) programs never return to the
 // idle point, so a dirty machine may hold in-flight pipeline contents;
-// callers that need a deterministic pipeline reload first, and
-// program.Run keeps a dirty machine on the interpreter.
+// callers that need a deterministic pipeline reload first (program.Run
+// does).
 func (m *Machine) Dirty() bool { return m.dirty }
 
 // MarkClean records that the machine sits at a well-defined idle point —
